@@ -17,7 +17,7 @@ from .errors import (CadenceError, ConfigError, DataFormatError,
 from .pipeline import (BoutAnalysis, RunReport, analyze_bout, analyze_signal,
                        extract_bout_ridge, preprocess, run_pipeline)
 from .ridge import (CadenceTrace, RidgeCurve, band_to_bins, cadence_from_ridge,
-                    extract_ridge, ridge_dp)
+                    ridge_dp)
 from .signal import (Signal, TriaxialRecord, Window, gaussian_window,
                      median_detrend, rectify, vector_magnitude)
 from .synth import (BoutModel, ConstantProfile, LinearProfile, SynthResult,
@@ -36,7 +36,7 @@ __all__ = [
     "TriaxialRecord", "WalkingModelSpec", "WaveShape", "Window",
     "analyze_bout", "analyze_signal", "ar1_noise", "ar1_sd_for_snr",
     "band_to_bins", "bland_altman", "bout_cadence_summary",
-    "cadence_from_ridge", "deshape", "extract_bout_ridge", "extract_ridge",
+    "cadence_from_ridge", "deshape", "extract_bout_ridge",
     "gaussian_window", "istct", "load_config", "median_detrend",
     "parse_config_file", "preprocess", "reassignment_operator", "rectify",
     "ridge_dp", "run_pipeline", "stct", "stft", "synchrosqueeze",

@@ -17,18 +17,17 @@ from .errors import CadenceError, ConfigError, DataFormatError, ParameterError
 from .io import (export_tfr, load_labels_csv, load_trace_csv, load_triaxial_csv,
                  write_bland_altman_csv, write_labels_csv, write_triaxial_csv,
                  TFR_FORMATS)
-from .pipeline import analyze_signal, analysis_grid, preprocess, run_pipeline
+from .pipeline import (analyze_signal, analysis_grid, preprocess, run_pipeline,
+                       slice_record)
 from .signal import TriaxialRecord, VALID_LOCATIONS
 from .synth import (BoutModel, ConstantProfile, LinearProfile, WalkingModelSpec,
                     WaveShape, ar1_sd_for_snr, synthesize_walk)
-from .tfr import KIND_DSSST, KIND_DSSTFT, KIND_ISTCT, KIND_SST, KIND_STCT, KIND_STFT
+from .tfr import GRID_KINDS, KIND_DSSST
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
-
-_TFR_KINDS = (KIND_STFT, KIND_STCT, KIND_ISTCT, KIND_DSSTFT, KIND_SST, KIND_DSSST)
 
 
 def _config_options(fn):
@@ -88,7 +87,7 @@ def cli(verbose):
 @click.option("-o", "--outdir", type=click.Path(), default="cadence_out",
               show_default=True, help="Output directory.")
 @click.option("--export-tfr", "export_kinds", multiple=True,
-              type=click.Choice(_TFR_KINDS),
+              type=click.Choice(GRID_KINDS),
               help="Also export these per-bout TFR grids (repeatable).")
 @click.option("--export-format", type=click.Choice(TFR_FORMATS), default="csv",
               show_default=True, help="Format for TFR exports.")
@@ -223,7 +222,7 @@ def synth(duration, fs, bout_specs, if_hz, if_ramp, alphas, betas, alpha0,
 
 @cli.command("tfr")
 @click.argument("input_csv", type=click.Path())
-@click.option("--kind", type=click.Choice(_TFR_KINDS), default=KIND_DSSST,
+@click.option("--kind", type=click.Choice(GRID_KINDS), default=KIND_DSSST,
               show_default=True, help="Which grid of the chain to export.")
 @click.option("--format", "fmt", type=click.Choice(TFR_FORMATS), default="csv",
               show_default=True)
@@ -242,13 +241,8 @@ def tfr_cmd(input_csv, kind, fmt, out, start, end, config_path, band, **kw):
     """
     cfg = _build_config(config_path, band, **kw)
     rec = load_triaxial_csv(input_csv, fs_hint=cfg.fs, location=cfg.location)
-    i0 = 0 if start is None else max(0, int(round(start * rec.fs)))
-    i1 = len(rec) if end is None else min(len(rec), int(round(end * rec.fs)))
-    if i1 <= i0:
-        raise DataFormatError("requested time range contains no samples")
-    sliced = TriaxialRecord(x=rec.x[i0:i1], y=rec.y[i0:i1], z=rec.z[i0:i1],
-                            fs=rec.fs, location=rec.location)
-    sig = preprocess(sliced, t0=i0 / rec.fs)
+    sliced, t0 = slice_record(rec, start, end)
+    sig = preprocess(sliced, t0=t0)
     analysis = analyze_signal(sig, cfg, collect=(kind,))
     export_tfr(analysis_grid(analysis, kind), out, fmt)
     click.echo(f"wrote {out} ({analysis.n_frames} frames x "

@@ -27,14 +27,16 @@ def _fmt(x: float) -> str:
     return _FLOAT_FMT.format(x)
 
 
-def load_triaxial_csv(path, fs_hint: float | None = None,
-                      location: str = "other") -> TriaxialRecord:
-    """Load a ``t,x,y,z`` (or ``x,y,z`` plus ``fs_hint``) CSV file.
+def _read_rows(path: Path, headers, convert) -> tuple[list, list, list]:
+    """Header, line numbers and converted data rows of a CSV file.
 
-    With a time column the sampling rate is the reciprocal of the median
-    interval, and every interval must stay within 1% of that median.
+    The header, lowercased and stripped, must equal one of ``headers``.
+    Each non-blank line must have the header's width and is passed to
+    ``convert``; a width mismatch or a ``ValueError`` from ``convert``
+    raises ``DataFormatError`` naming ``path:line``. Returns
+    ``(names, linenos, values)``.
     """
-    path = Path(path)
+    linenos, values = [], []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -42,36 +44,54 @@ def load_triaxial_csv(path, fs_hint: float | None = None,
         except StopIteration:
             raise DataFormatError(f"{path}: file is empty") from None
         names = [h.strip().lower() for h in header]
-        if names == ["t", "x", "y", "z"]:
-            has_time = True
-        elif names == ["x", "y", "z"]:
-            has_time = False
-            if fs_hint is None:
-                raise DataFormatError(
-                    f"{path}: no time column; a sampling rate is required"
-                )
-        else:
+        if names not in headers:
+            expected = " or ".join(repr(",".join(h)) for h in headers)
             raise DataFormatError(
-                f"{path}: expected header 't,x,y,z' or 'x,y,z', got {','.join(names)!r}"
+                f"{path}: expected header {expected}, got {','.join(names)!r}"
             )
-        ncol = 4 if has_time else 3
-        rows = []
+        width = len(names)
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if len(row) != ncol:
+            if len(row) != width:
                 raise DataFormatError(
-                    f"{path}:{lineno}: expected {ncol} columns, got {len(row)}"
+                    f"{path}:{lineno}: expected {width} columns, got {len(row)}"
                 )
             try:
-                rows.append([float(v) for v in row])
+                values.append(convert(row))
             except ValueError:
                 raise DataFormatError(
                     f"{path}:{lineno}: non-numeric value in {row!r}"
                 ) from None
-    if not rows:
+            linenos.append(lineno)
+    return names, linenos, values
+
+
+def load_triaxial_csv(path, fs_hint: float | None = None,
+                      location: str = "other") -> TriaxialRecord:
+    """Load a ``t,x,y,z`` (or ``x,y,z`` plus ``fs_hint``) CSV file.
+
+    With a time column the sampling rate is the reciprocal of the median
+    interval, and every interval must stay within 1% of that median. Every
+    value must be finite.
+    """
+    path = Path(path)
+    names, linenos, values = _read_rows(
+        path, (["t", "x", "y", "z"], ["x", "y", "z"]),
+        lambda row: [float(v) for v in row])
+    has_time = names[0] == "t"
+    if not has_time and fs_hint is None:
+        raise DataFormatError(
+            f"{path}: no time column; a sampling rate is required"
+        )
+    if not values:
         raise DataFormatError(f"{path}: no data rows")
-    data = np.asarray(rows)
+    data = np.asarray(values)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DataFormatError(
+            f"{path}:{linenos[i]}: non-finite value in {values[i]!r}")
     if has_time:
         t = data[:, 0]
         dt = np.diff(t)
@@ -111,36 +131,15 @@ def write_triaxial_csv(path, rec: TriaxialRecord, t0: float = 0.0):
 def load_labels_csv(path) -> list[BoutInterval]:
     """Load ``start_s,end_s,label`` rows into a validated, sorted bout list."""
     path = Path(path)
+    _, linenos, values = _read_rows(
+        path, (["start_s", "end_s", "label"],),
+        lambda row: (float(row[0]), float(row[1]), int(row[2])))
     bouts = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    for lineno, (start, end, label) in zip(linenos, values):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: file is empty") from None
-        names = [h.strip().lower() for h in header]
-        if names != ["start_s", "end_s", "label"]:
-            raise DataFormatError(
-                f"{path}: expected header 'start_s,end_s,label', got "
-                f"{','.join(names)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected 3 columns, got {len(row)}"
-                )
-            try:
-                start, end, label = float(row[0]), float(row[1]), int(row[2])
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}:{lineno}: non-numeric value in {row!r}"
-                ) from None
-            try:
-                bouts.append(BoutInterval(start, end, label))
-            except ParameterError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+            bouts.append(BoutInterval(start, end, label))
+        except ParameterError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
     try:
         return validate_bouts(bouts)
     except ParameterError as exc:
@@ -183,40 +182,17 @@ def write_trace_csv(path, trace: CadenceTrace, labels: np.ndarray):
 def load_trace_csv(path) -> tuple[CadenceTrace, np.ndarray]:
     """Read back a cadence trace CSV; returns the trace and its labels."""
     path = Path(path)
-    times, if_hz, cadence, labels = [], [], [], []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: file is empty") from None
-        if [h.strip().lower() for h in header] != ["time_s", "if_hz",
-                                                   "cadence_hz", "bout_label"]:
-            raise DataFormatError(f"{path}: unexpected trace header")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected 4 columns, got {len(row)}"
-                )
-            try:
-                times.append(float(row[0]))
-                if_hz.append(float(row[1]))
-                cadence.append(float(row[2]))
-                labels.append(int(row[3]))
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}:{lineno}: non-numeric value in {row!r}"
-                ) from None
-    if not times:
+    _, _, values = _read_rows(
+        path, (["time_s", "if_hz", "cadence_hz", "bout_label"],),
+        lambda row: (float(row[0]), float(row[1]), float(row[2]), int(row[3])))
+    if not values:
         raise DataFormatError(f"{path}: no data rows")
-    times = np.asarray(times)
+    times, if_hz, cadence, labels = (np.asarray(col) for col in zip(*values))
     dts = np.diff(times)
     frame_dt = float(np.median(dts)) if dts.size else 1.0
-    trace = CadenceTrace(times=times, if_hz=np.asarray(if_hz),
-                         cadence_hz=np.asarray(cadence), frame_dt=frame_dt)
-    return trace, np.asarray(labels, dtype=int)
+    trace = CadenceTrace(times=times, if_hz=if_hz, cadence_hz=cadence,
+                         frame_dt=frame_dt)
+    return trace, labels
 
 
 def write_summary_csv(path, rows):

@@ -1,10 +1,10 @@
 """End-to-end orchestration: preprocessing, streaming dsSST, ridge, exports.
 
-The transform chain is frame-local, so each bout is analyzed in frame chunks:
-STFT pair -> cepstral mask -> de-shaped STFT -> reassignment -> squeeze, with
-only the band-restricted squeezed magnitudes (plus any requested probes or
-full grids) retained. Each bout is processed on its own slice of samples, so
-one bout's data can never influence another bout's outputs.
+Each bout is analyzed on its own slice of samples, so one bout's data can
+never influence another bout's outputs. The transform chain itself is
+``tfr.dsst_blocks``; this module keeps only what the run needs from each
+block: the band-restricted squeezed magnitudes, plus any requested probes
+or full grids.
 """
 
 from __future__ import annotations
@@ -19,19 +19,16 @@ import numpy as np
 
 from .analysis import BoutInterval, bout_cadence_summary
 from .config import PipelineConfig, config_as_dict
-from .errors import CadenceError, DataFormatError
+from .errors import CadenceError, DataFormatError, ParameterError
 from .io import (check_bout_spans, export_tfr, load_labels_csv,
                  load_triaxial_csv, write_summary_csv, write_trace_csv)
 from .ridge import CadenceTrace, band_to_bins, cadence_from_ridge, ridge_dp, RidgeCurve
 from .signal import Signal, TriaxialRecord, Window, gaussian_window, median_detrend, \
     rectify, vector_magnitude
-from .tfr import (KIND_DSSST, KIND_DSSTFT, KIND_ISTCT, KIND_SST, KIND_STCT,
-                  KIND_STFT, TFRGrid, _istct_rows, _omega_rows, _squeeze_rows,
-                  _stct_rows, _windowed_rows, frame_starts)
+from .tfr import (GRID_KINDS, KIND_DSSST, KIND_STFT, TFRGrid, dsst_blocks,
+                  frame_starts)
 
 logger = logging.getLogger(__name__)
-
-_CHUNK_FRAMES = 512
 
 
 @dataclass
@@ -73,57 +70,40 @@ def analyze_signal(sig: Signal, cfg: PipelineConfig, probes=None,
     squeezed energies are accumulated on the fly. ``collect`` names grid
     kinds ("stft", "stct", "istct-mask", "dsstft", "sst", "dssst") whose full
     magnitude matrices should be kept; anything not requested is discarded
-    chunk by chunk to bound memory.
+    chunk by chunk to bound memory. An unknown kind raises ``ParameterError``.
     """
+    collect = set(collect)
+    unknown = collect.difference(GRID_KINDS)
+    if unknown:
+        raise ParameterError(
+            f"unknown grid kinds {sorted(unknown)}; expected {GRID_KINDS}")
     fs = sig.fs
     K = cfg.window_half(fs)
     w = gaussian_window(K, cfg.sigma)
     M = cfg.fft_half(K)
     hop = cfg.hop
-    starts = frame_starts(len(sig), hop)
-    n_frames = starts.size
+    n_frames = frame_starts(len(sig), hop).size
     lo_bin, hi_bin = band_to_bins(cfg.band_hz, fs, M)
 
     probes = probes or {}
     probe_cols = {name: band_to_bins(band, fs, M) for name, band in probes.items()}
     probe_masses = {name: BandMass() for name in probes}
 
-    collect = set(collect)
     grids = {kind: np.empty((n_frames, M + 1)) for kind in collect}
-
     band_mag = np.empty((n_frames, hi_bin - lo_bin + 1))
-    padded = np.concatenate([np.zeros(K), sig.samples, np.zeros(K)])
 
-    for i in range(0, n_frames, _CHUNK_FRAMES):
-        sel = starts[i : i + _CHUNK_FRAMES]
-        rows = slice(i, i + sel.size)
-        v = _windowed_rows(padded, w.h, M, sel)
-        vd = _windowed_rows(padded, w.dh, M, sel)
-        vmag = np.abs(v)
-        ceps = _stct_rows(vmag, cfg.gamma)
-        mask = _istct_rows(ceps, M)
-        wgrid = v * mask
-        omega = _omega_rows(v, vd, cfg.upsilon, K, M)
-        squeezed = _squeeze_rows(wgrid, omega, M)
-        sq_mag = np.abs(squeezed)
-        band_mag[rows] = sq_mag[:, lo_bin : hi_bin + 1]
+    for rows, mags in dsst_blocks(sig, w, M, hop, cfg.gamma, cfg.upsilon,
+                                  kinds=collect):
+        band_mag[rows] = mags[KIND_DSSST][:, lo_bin : hi_bin + 1]
         for name, (plo, phi) in probe_cols.items():
             probe_masses[name].spectrogram += float(
-                np.sum(vmag[:, plo : phi + 1] ** 2))
+                np.sum(mags[KIND_STFT][:, plo : phi + 1] ** 2))
             probe_masses[name].dssst += float(
-                np.sum(sq_mag[:, plo : phi + 1] ** 2))
-        if KIND_STFT in collect:
-            grids[KIND_STFT][rows] = vmag
-        if KIND_STCT in collect:
-            grids[KIND_STCT][rows] = ceps
-        if KIND_ISTCT in collect:
-            grids[KIND_ISTCT][rows] = mask
-        if KIND_DSSTFT in collect:
-            grids[KIND_DSSTFT][rows] = np.abs(wgrid)
-        if KIND_SST in collect:
-            grids[KIND_SST][rows] = np.abs(_squeeze_rows(v, omega, M))
-        if KIND_DSSST in collect:
-            grids[KIND_DSSST][rows] = sq_mag
+                np.sum(mags[KIND_DSSST][:, plo : phi + 1] ** 2))
+        for kind in collect:
+            grids[kind][rows] = mags[kind]
+        # Free this block's arrays before the kernel computes the next one.
+        del mags
 
     return BoutAnalysis(band_mag=band_mag, band_bins=(lo_bin, hi_bin),
                         fft_half=M, window=w, hop=hop, fs=fs, t0=sig.t0,
@@ -135,8 +115,7 @@ def extract_bout_ridge(analysis: BoutAnalysis, penalty: float) -> RidgeCurve:
     """Penalized ridge over the full band-restricted analysis block."""
     bins, objective, degenerate = ridge_dp(analysis.band_mag, penalty)
     lo_bin, hi_bin = analysis.band_bins
-    return RidgeCurve(bins=bins + lo_bin, frame_lo=0,
-                      band=(lo_bin, hi_bin), penalty=penalty,
+    return RidgeCurve(bins=bins + lo_bin, band=(lo_bin, hi_bin), penalty=penalty,
                       objective=objective, degenerate=degenerate)
 
 
@@ -195,14 +174,26 @@ class RunReport:
         }
 
 
-def _slice_record(rec: TriaxialRecord, bout: BoutInterval) -> tuple[TriaxialRecord, float]:
-    i0 = int(round(bout.start_s * rec.fs))
-    i1 = int(round(bout.end_s * rec.fs))
-    i0 = max(0, i0)
-    i1 = min(len(rec), i1)
+def _sample_range(rec: TriaxialRecord, start_s, end_s) -> tuple[int, int]:
+    """Unclipped sample indices of ``[start_s, end_s)``; ``None`` is a record end."""
+    i0 = 0 if start_s is None else int(round(start_s * rec.fs))
+    i1 = len(rec) if end_s is None else int(round(end_s * rec.fs))
+    return i0, i1
+
+
+def slice_record(rec: TriaxialRecord, start_s=None,
+                 end_s=None) -> tuple[TriaxialRecord, float]:
+    """Samples of ``rec`` from ``start_s`` to ``end_s`` seconds.
+
+    ``None`` stands for the start or end of the recording, and a range that
+    runs past the recording is clipped to it. Returns the slice and the time
+    of its first sample; a range holding no sample raises ``DataFormatError``.
+    """
+    i0, i1 = _sample_range(rec, start_s, end_s)
+    i0, i1 = max(0, i0), min(len(rec), i1)
     if i1 <= i0:
         raise DataFormatError(
-            f"bout [{bout.start_s}, {bout.end_s}] lies outside the recording"
+            f"time range [{start_s}, {end_s}] s holds no sample of the recording"
         )
     sliced = TriaxialRecord(x=rec.x[i0:i1], y=rec.y[i0:i1], z=rec.z[i0:i1],
                             fs=rec.fs, location=rec.location)
@@ -216,7 +207,7 @@ def analyze_bout(rec: TriaxialRecord, bout: BoutInterval, cfg: PipelineConfig,
     Returns ``(analysis, ridge, trace)``; a degenerate ridge is flagged on
     the curve rather than raised, so the caller decides how to report it.
     """
-    sliced, t0 = _slice_record(rec, bout)
+    sliced, t0 = slice_record(rec, bout.start_s, bout.end_s)
     sig = preprocess(sliced, t0=t0)
     analysis = analyze_signal(sig, cfg, probes=probes, collect=collect)
     ridge = extract_bout_ridge(analysis, cfg.ridge_lambda)
@@ -253,6 +244,12 @@ def run_pipeline(cfg: PipelineConfig, input_csv, labels_csv, outdir,
         try:
             analysis, ridge, trace = analyze_bout(rec, bout, cfg,
                                                   collect=export_kinds)
+            i0, i1 = _sample_range(rec, bout.start_s, bout.end_s)
+            if i0 < 0 or i1 > len(rec):
+                msg = (f"bout {idx} [{bout.start_s}, {bout.end_s}] runs past "
+                       f"the {len(rec) / rec.fs:g} s recording; clipped to it")
+                logger.warning("%s", msg)
+                warnings.append(msg)
             traces.append(trace)
             labels_per_frame.append(np.full(len(trace), bout.label, dtype=int))
             for kind in export_kinds:

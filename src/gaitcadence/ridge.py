@@ -2,16 +2,12 @@
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, StructuralError
-from .tfr import TFRGrid
-
-logger = logging.getLogger(__name__)
 
 ZERO_FLOOR_FRACTION = 1e-12
 
@@ -20,15 +16,13 @@ ZERO_FLOOR_FRACTION = 1e-12
 class RidgeCurve:
     """Maximum-energy curve through a TFR block.
 
-    ``bins`` holds one zero-based frequency-bin index per frame of the
-    extracted span; ``frame_lo`` is the zero-based row of the first frame.
+    ``bins`` holds one zero-based frequency-bin index per analysis frame.
     ``band`` is the inclusive (low, high) bin range the search was
     restricted to. ``degenerate`` marks an all-zero input block, for which
     the constant lowest-bin curve is returned.
     """
 
     bins: np.ndarray
-    frame_lo: int
     band: tuple[int, int]
     penalty: float
     objective: float
@@ -128,34 +122,6 @@ def band_to_bins(band_hz, fs: float, fft_half: int) -> tuple[int, int]:
     return lo, hi
 
 
-def extract_ridge(tfr: TFRGrid, frame_lo: int = 0, frame_hi: int | None = None,
-                  band_hz=None, penalty: float = 1.0) -> RidgeCurve:
-    """Extract the penalized maximum-energy curve from a TFR.
-
-    Frames ``frame_lo .. frame_hi`` (half-open, zero-based; ``None`` means
-    the end) are searched within ``band_hz = (low, high)`` in Hz (``None``
-    searches all bins). An all-zero block yields a ``degenerate`` curve at
-    the lowest band bin instead of raising.
-    """
-    if frame_hi is None:
-        frame_hi = tfr.n_frames
-    if not (0 <= frame_lo < frame_hi <= tfr.n_frames):
-        raise ParameterError(
-            f"frame range [{frame_lo}, {frame_hi}) invalid for {tfr.n_frames} frames"
-        )
-    lo_bin, hi_bin = band_to_bins(band_hz, tfr.fs, tfr.fft_half)
-    block = np.abs(tfr.values[frame_lo:frame_hi, lo_bin : hi_bin + 1])
-    bins, objective, degenerate = ridge_dp(block, penalty)
-    if degenerate:
-        logger.warning(
-            "ridge block is all zero over frames [%d, %d); returning the "
-            "constant lowest-bin curve", frame_lo, frame_hi,
-        )
-    return RidgeCurve(bins=bins + lo_bin, frame_lo=frame_lo,
-                      band=(lo_bin, hi_bin), penalty=penalty,
-                      objective=objective, degenerate=degenerate)
-
-
 def cadence_from_ridge(r: RidgeCurve, fs: float, fft_half: int, hop: int = 1,
                        t0: float = 0.0) -> CadenceTrace:
     """Convert a bin-index ridge to instantaneous frequency and cadence.
@@ -166,6 +132,6 @@ def cadence_from_ridge(r: RidgeCurve, fs: float, fft_half: int, hop: int = 1,
     if_hz = r.bins * fs / (2.0 * fft_half)
     cadence = 2.0 * if_hz
     frame_dt = hop / fs
-    times = t0 + (r.frame_lo + np.arange(r.bins.size)) * frame_dt
+    times = t0 + np.arange(r.bins.size) * frame_dt
     return CadenceTrace(times=times, if_hz=if_hz, cadence_hz=cadence,
                         frame_dt=frame_dt)

@@ -4,6 +4,13 @@ The frequency axis of every grid has ``M + 1`` bins; bin ``m`` (zero-based)
 maps to ``m * fs / (2M)`` Hz. Frames advance by ``hop`` samples, so frame
 ``n`` (zero-based) sits at time ``t0 + n * hop / fs``. All transforms are
 pure and frames are independent, so callers may parallelize over time.
+
+The de-shape synchrosqueezing chain lives here once: ``dsst_blocks`` runs
+STFT pair -> cepstral mask -> de-shaped STFT -> reassignment -> squeeze over
+blocks of frames, and the pipeline consumes it. The full-grid stage
+functions (``stft``, ``stct``, ``istct``, ``deshape``,
+``reassignment_operator``, ``synchrosqueeze``) apply the same row helpers to
+a whole grid and serve as the reference the chunked chain is tested against.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ KIND_ISTCT = "istct-mask"
 KIND_DSSTFT = "dsstft"
 KIND_SST = "sst"
 KIND_DSSST = "dssst"
+GRID_KINDS = (KIND_STFT, KIND_STCT, KIND_ISTCT, KIND_DSSTFT, KIND_SST, KIND_DSSST)
 
 _CHUNK_FRAMES = 512
 
@@ -60,14 +68,6 @@ class TFRGrid:
     def n_frames(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def freqs_hz(self) -> np.ndarray:
-        return np.arange(self.fft_half + 1) * self.fs / (2.0 * self.fft_half)
-
-    @property
-    def frame_times(self) -> np.ndarray:
-        return self.t0 + np.arange(self.n_frames) * self.hop / self.fs
-
     def magnitude(self) -> np.ndarray:
         return np.abs(self.values)
 
@@ -104,11 +104,24 @@ def frame_starts(n_samples: int, hop: int) -> np.ndarray:
     return np.arange(0, n_samples, hop)
 
 
-def _windowed_rows(padded: np.ndarray, taper: np.ndarray, fft_half: int,
-                   starts: np.ndarray) -> np.ndarray:
-    """DFT rows of the tapered frames starting at ``starts`` in ``padded``."""
-    segs = np.lib.stride_tricks.sliding_window_view(padded, taper.size)[starts]
-    return scipy.fft.rfft(segs * taper, n=2 * fft_half, axis=1, workers=-1)
+def _stft_blocks(x: np.ndarray, tapers, fft_half: int, hop: int):
+    """DFT rows of the tapered frames of ``x``, block by block.
+
+    ``x`` is zero-extended by half a taper on each side once; its frames,
+    one every ``hop`` samples, are then walked in blocks of
+    ``_CHUNK_FRAMES``. Yields ``(rows, dfts)``: the block's slice of the
+    frame axis and, per taper, the block's ``fft_half + 1`` rfft columns.
+    """
+    K = tapers[0].size // 2
+    padded = np.concatenate([np.zeros(K), x, np.zeros(K)])
+    frames = np.lib.stride_tricks.sliding_window_view(padded, 2 * K + 1)
+    starts = frame_starts(x.size, hop)
+    for i in range(0, starts.size, _CHUNK_FRAMES):
+        sel = starts[i : i + _CHUNK_FRAMES]
+        yield slice(i, i + sel.size), [
+            scipy.fft.rfft(frames[sel] * taper, n=2 * fft_half, axis=1,
+                           workers=-1)
+            for taper in tapers]
 
 
 def stft(s: Signal, w: Window, fft_half: int, hop: int = 1,
@@ -127,13 +140,10 @@ def stft(s: Signal, w: Window, fft_half: int, hop: int = 1,
             f"DFT length {2 * fft_half} shorter than window span {w.span}"
         )
     taper = w.dh if derivative else w.h
-    x = s.samples
-    starts = frame_starts(x.size, hop)
-    padded = np.concatenate([np.zeros(w.K), x, np.zeros(w.K)])
-    out = np.empty((starts.size, fft_half + 1), dtype=np.complex128)
-    for i in range(0, starts.size, _CHUNK_FRAMES):
-        sel = starts[i : i + _CHUNK_FRAMES]
-        out[i : i + sel.size] = _windowed_rows(padded, taper, fft_half, sel)
+    out = np.empty((frame_starts(len(s), hop).size, fft_half + 1),
+                   dtype=np.complex128)
+    for rows, (v,) in _stft_blocks(s.samples, (taper,), fft_half, hop):
+        out[rows] = v
     return TFRGrid(out, fs=s.fs, fft_half=fft_half, hop=hop, kind=KIND_STFT,
                    t0=s.t0)
 
@@ -282,3 +292,36 @@ def synchrosqueeze(src: TFRGrid, omega: OmegaMatrix,
     kind = KIND_DSSST if src.kind == KIND_DSSTFT else KIND_SST
     return TFRGrid(out, fs=src.fs, fft_half=src.fft_half, hop=src.hop,
                    kind=kind, t0=src.t0)
+
+
+def _dsst_rows(v: np.ndarray, vd: np.ndarray, window_half: int,
+               fft_half: int, gamma: float, upsilon: float, kinds) -> dict:
+    """Stage magnitudes of one block from its STFT pair rows ``V``, ``V'``."""
+    vmag = np.abs(v)
+    ceps = _stct_rows(vmag, gamma)
+    mask = _istct_rows(ceps, fft_half)
+    wgrid = v * mask
+    omega = _omega_rows(v, vd, upsilon, window_half, fft_half)
+    mags = {KIND_STFT: vmag, KIND_STCT: ceps, KIND_ISTCT: mask,
+            KIND_DSSST: np.abs(_squeeze_rows(wgrid, omega, fft_half))}
+    if KIND_DSSTFT in kinds:
+        mags[KIND_DSSTFT] = np.abs(wgrid)
+    if KIND_SST in kinds:
+        mags[KIND_SST] = np.abs(_squeeze_rows(v, omega, fft_half))
+    return mags
+
+
+def dsst_blocks(s: Signal, w: Window, fft_half: int, hop: int, gamma: float,
+                upsilon: float, kinds=()):
+    """De-shape synchrosqueezing chain over blocks of ``_CHUNK_FRAMES`` frames.
+
+    Per block: STFT pair ``V``, ``V'`` -> cepstrum of ``|V|^gamma`` ->
+    de-shape mask -> ``W = V * mask`` -> reassignment rule from ``V'/V`` ->
+    squeezed ``W``. Yields ``(rows, mags)``: the block's slice of the frame
+    axis and the block's magnitude rows keyed by grid kind. The stft, stct,
+    istct-mask and dssst rows are always present, since the chain computes
+    them anyway. The dsstft rows cost one more magnitude and the sst rows one
+    more squeeze, so they are present only when named in ``kinds``.
+    """
+    for rows, (v, vd) in _stft_blocks(s.samples, (w.h, w.dh), fft_half, hop):
+        yield rows, _dsst_rows(v, vd, w.K, fft_half, gamma, upsilon, kinds)

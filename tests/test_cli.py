@@ -75,6 +75,17 @@ class TestRun:
                      "-o", str(tmp_path / "out")])
         assert code == 2
 
+    def test_non_finite_sample_is_data_error(self, synth_files, tmp_path):
+        _, csv_path, labels_path, _ = synth_files
+        lines = csv_path.read_text().splitlines()
+        t, _, y, z = lines[500].split(",")
+        lines[500] = ",".join([t, "nan", y, z])
+        bad_csv = tmp_path / "nan.csv"
+        bad_csv.write_text("\n".join(lines) + "\n")
+        code = main(["run", str(bad_csv), str(labels_path),
+                     "-o", str(tmp_path / "out")] + FAST_FLAGS)
+        assert code == 2
+
     def test_bad_config_file_is_config_error(self, synth_files, tmp_path):
         _, csv_path, labels_path, _ = synth_files
         cfg = tmp_path / "bad.cfg"

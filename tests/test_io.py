@@ -41,6 +41,13 @@ class TestTriaxialCsv:
         with pytest.raises(DataFormatError, match=":2"):
             load_triaxial_csv(p)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, tmp_path, bad):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"t,x,y,z\n0,1,0,0\n0.01,1,{bad},0\n0.02,1,0,0\n")
+        with pytest.raises(DataFormatError, match=":3: non-finite"):
+            load_triaxial_csv(p)
+
     def test_non_uniform_sampling_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("t,x,y,z\n0,1,0,0\n0.01,1,0,0\n0.05,1,0,0\n0.06,1,0,0\n")

@@ -7,8 +7,9 @@ import pytest
 
 from gaitcadence.analysis import BoutInterval
 from gaitcadence.config import PipelineConfig
+from gaitcadence.errors import ParameterError
 from gaitcadence.io import load_trace_csv, write_labels_csv, write_triaxial_csv
-from gaitcadence.pipeline import analyze_bout, run_pipeline
+from gaitcadence.pipeline import analyze_bout, analyze_signal, run_pipeline
 from gaitcadence.synth import ConstantProfile
 
 from conftest import as_record, make_walk
@@ -69,6 +70,12 @@ class TestAnalyzeBout:
         assert analysis.grids["stft"].shape == (analysis.n_frames, n_bins)
         assert np.all(analysis.grids["dssst"] >= 0.0)
 
+    def test_unknown_grid_kind_rejected(self):
+        _, res = make_walk(duration_s=28.0, bout=(2.0, 26.0), fs=50.0, seed=5)
+        with pytest.raises(ParameterError, match="bogus"):
+            analyze_signal(res.signal, fast_config(hop=5),
+                           collect=("dssst", "bogus"))
+
 
 class TestRunPipeline:
     def test_outputs_and_report(self, small_fixture, tmp_path):
@@ -119,6 +126,18 @@ class TestRunPipeline:
         statuses = [b.status for b in report.bouts]
         assert statuses == ["ok", "error"]
         assert (tmp_path / "out" / "cadence.csv").exists()
+
+    def test_clipped_bout_warns(self, small_fixture, tmp_path):
+        csv_path, labels_path = small_fixture
+        labels = tmp_path / "labels_long.csv"
+        labels.write_text("start_s,end_s,label\n2,40,1\n")
+        report = run_pipeline(fast_config(), csv_path, labels, tmp_path / "out")
+        assert report.bouts[0].status == "ok"
+        loaded = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert any("bout 1" in w and "clipped" in w for w in loaded["warnings"])
+        # an in-range bout is not flagged
+        run = run_pipeline(fast_config(), csv_path, labels_path, tmp_path / "ok")
+        assert not any("clipped" in w for w in run.warnings)
 
     def test_per_bout_isolation(self, tmp_path):
         spec, res = make_walk(duration_s=60.0, bout=(2.0, 26.0), fs=50.0,

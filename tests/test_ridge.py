@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from gaitcadence.errors import ParameterError
-from gaitcadence.ridge import (band_to_bins, cadence_from_ridge, extract_ridge,
-                               ridge_dp)
-from gaitcadence.tfr import TFRGrid
+from gaitcadence.pipeline import BoutAnalysis, extract_bout_ridge
+from gaitcadence.ridge import band_to_bins, cadence_from_ridge, ridge_dp
+from gaitcadence.signal import gaussian_window
 
 
 def path_objective(mag, bins, penalty):
@@ -19,6 +19,16 @@ def path_objective(mag, bins, penalty):
     value = score[np.arange(len(bins)), bins].sum()
     value -= penalty * np.sum(np.diff(np.asarray(bins, dtype=float)) ** 2)
     return value
+
+
+def ridge_of(mag, fs=10.0, band_hz=None, penalty=1.0):
+    """Ridge through a full-width magnitude grid, restricted as the pipeline does."""
+    fft_half = mag.shape[1] - 1
+    lo, hi = band_to_bins(band_hz, fs, fft_half)
+    analysis = BoutAnalysis(band_mag=mag[:, lo : hi + 1], band_bins=(lo, hi),
+                            fft_half=fft_half, window=gaussian_window(1, 0.15),
+                            hop=1, fs=fs, t0=0.0, n_frames=mag.shape[0])
+    return extract_bout_ridge(analysis, penalty)
 
 
 def brute_force_best(mag, penalty):
@@ -107,44 +117,31 @@ class TestRidgeDP:
 
 
 class TestExtractRidge:
-    def make_grid(self, mag, fs=10.0):
-        return TFRGrid(mag.astype(np.complex128), fs=fs,
-                       fft_half=mag.shape[1] - 1, kind="dssst")
-
     def test_band_restriction(self):
         mag = np.zeros((6, 11))
         mag[:, 1] = 5.0  # outside the band
         mag[:, 6] = 1.0  # inside
-        tfr = self.make_grid(mag)  # fs=10, 2M=20 -> bin b at b*0.5 Hz
-        curve = extract_ridge(tfr, band_hz=(2.0, 4.0), penalty=1.0)
+        # fs=10, 2M=20 -> bin b at b*0.5 Hz
+        curve = ridge_of(mag, band_hz=(2.0, 4.0), penalty=1.0)
         assert np.all(curve.bins == 6)
         assert curve.band == (4, 8)
 
     def test_full_band_by_default(self):
         mag = np.zeros((4, 9))
         mag[:, 7] = 1.0
-        curve = extract_ridge(self.make_grid(mag))
+        curve = ridge_of(mag)
         assert np.all(curve.bins == 7)
         assert curve.band == (0, 8)
-
-    def test_frame_range(self):
-        mag = np.zeros((10, 5))
-        mag[:5, 1] = 1.0
-        mag[5:, 3] = 1.0
-        curve = extract_ridge(self.make_grid(mag), frame_lo=5, frame_hi=10)
-        assert len(curve) == 5
-        assert np.all(curve.bins == 3)
-        assert curve.frame_lo == 5
 
     def test_empty_band_rejected(self):
         mag = np.ones((3, 5))
         with pytest.raises(ParameterError):
-            extract_ridge(self.make_grid(mag), band_hz=(2.01, 2.02))
+            ridge_of(mag, band_hz=(2.01, 2.02))
 
     def test_degenerate_block_flagged(self):
-        curve = extract_ridge(self.make_grid(np.zeros((3, 5))), penalty=1.0)
+        curve = ridge_of(np.zeros((3, 11)), band_hz=(1.0, 2.0), penalty=1.0)
         assert curve.degenerate
-        assert np.all(curve.bins == 0)
+        assert np.all(curve.bins == 2)
 
     def test_band_to_bins_mapping(self):
         # fs=10, 2M=20: bin spacing 0.5 Hz
@@ -157,9 +154,7 @@ class TestCadenceFromRidge:
         # fs=80, 2M=160: zero-based bin 2 -> 1 Hz -> cadence 2 Hz
         mag = np.zeros((3, 81))
         mag[:, 2] = 1.0
-        tfr = TFRGrid(mag.astype(np.complex128), fs=80.0, fft_half=80,
-                      kind="dssst")
-        curve = extract_ridge(tfr, penalty=0.0)
+        curve = ridge_of(mag, fs=80.0, penalty=0.0)
         trace = cadence_from_ridge(curve, fs=80.0, fft_half=80)
         assert np.all(trace.if_hz == pytest.approx(1.0))
         assert np.all(trace.cadence_hz == pytest.approx(2.0))
@@ -167,8 +162,7 @@ class TestCadenceFromRidge:
     def test_dc_bin_gives_zero(self):
         mag = np.zeros((2, 5))
         mag[:, 0] = 1.0
-        tfr = TFRGrid(mag.astype(np.complex128), fs=10.0, fft_half=4)
-        curve = extract_ridge(tfr, penalty=0.0)
+        curve = ridge_of(mag, penalty=0.0)
         trace = cadence_from_ridge(curve, fs=10.0, fft_half=4)
         assert np.all(trace.if_hz == 0.0)
         assert np.all(trace.cadence_hz == 0.0)
@@ -176,15 +170,12 @@ class TestCadenceFromRidge:
     def test_cadence_exactly_twice_if(self):
         rng = np.random.default_rng(24)
         mag = rng.uniform(0.1, 1.0, size=(20, 33))
-        tfr = TFRGrid(mag.astype(np.complex128), fs=50.0, fft_half=32)
-        curve = extract_ridge(tfr, penalty=0.3)
+        curve = ridge_of(mag, fs=50.0, penalty=0.3)
         trace = cadence_from_ridge(curve, fs=50.0, fft_half=32)
         np.testing.assert_array_equal(trace.cadence_hz, 2.0 * trace.if_hz)
 
     def test_times_and_hop(self):
-        mag = np.ones((4, 5))
-        tfr = TFRGrid(mag.astype(np.complex128), fs=10.0, fft_half=4, hop=5)
-        curve = extract_ridge(tfr, frame_lo=1, frame_hi=4, penalty=0.0)
-        trace = cadence_from_ridge(curve, fs=10.0, fft_half=4, hop=5, t0=2.0)
+        curve = ridge_of(np.ones((3, 5)), penalty=0.0)
+        trace = cadence_from_ridge(curve, fs=10.0, fft_half=4, hop=5, t0=2.5)
         np.testing.assert_allclose(trace.times, [2.5, 3.0, 3.5])
         assert trace.frame_dt == pytest.approx(0.5)

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from gaitcadence.config import PipelineConfig
 from gaitcadence.errors import ParameterError, StructuralError
+from gaitcadence.pipeline import analyze_signal
 from gaitcadence.signal import Signal, gaussian_window
 from gaitcadence.synth import WaveShape
+from gaitcadence.tfr import GRID_KINDS
 from gaitcadence.tfr import (OmegaMatrix, TFRGrid, deshape, istct,
                              reassignment_operator, stct, stft, synchrosqueeze)
 
@@ -405,3 +408,32 @@ class TestHarmonicSuppressionInvariant:
                     / (np.abs(sw.values[rows, fund]) ** 2).sum())
         assert v_ratio > 1.0
         assert sw_ratio < 1.0
+
+
+class TestChunkedChain:
+    @pytest.mark.parametrize("hop", [1, 3])
+    def test_matches_full_grid_chain(self, hop):
+        # 1600 and 534 frames: both cross a 512-frame block boundary
+        rng = np.random.default_rng(8)
+        t = np.arange(1600) / 20.0
+        sig = Signal(np.abs(np.cos(2 * np.pi * t) + 0.3 * rng.normal(size=t.size)),
+                     fs=20.0)
+        cfg = PipelineConfig(window_span_s=4.0, hop=hop, fs=None).validate()
+        analysis = analyze_signal(sig, cfg, collect=GRID_KINDS)
+
+        K = cfg.window_half(sig.fs)
+        w = gaussian_window(K, cfg.sigma)
+        M = cfg.fft_half(K)
+        v = stft(sig, w, M, hop)
+        vd = stft(sig, w, M, hop, derivative=True)
+        c = stct(v, cfg.gamma)
+        u = istct(c)
+        wgrid = deshape(v, u)
+        omega = reassignment_operator(v, vd, cfg.upsilon, K)
+        full = {"stft": v, "stct": c, "istct-mask": u, "dsstft": wgrid,
+                "sst": synchrosqueeze(v, omega),
+                "dssst": synchrosqueeze(wgrid, omega)}
+        assert analysis.n_frames == -(-1600 // hop)
+        for kind in GRID_KINDS:
+            assert (analysis.grids[kind].tobytes()
+                    == full[kind].magnitude().tobytes()), kind
