@@ -32,6 +32,10 @@ class BoutInterval:
     label: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.start_s) and math.isfinite(self.end_s)):
+            raise ParameterError(
+                f"bout bounds must be finite, got [{self.start_s}, {self.end_s}]"
+            )
         if not self.end_s > self.start_s:
             raise ParameterError(
                 f"bout must have positive length, got [{self.start_s}, {self.end_s}]"

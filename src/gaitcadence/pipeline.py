@@ -4,7 +4,7 @@ Each bout is analyzed on its own slice of samples, so one bout's data can
 never influence another bout's outputs. The transform chain itself is
 ``tfr.dsst_blocks``; this module keeps only what the run needs from each
 block: the band-restricted squeezed magnitudes, plus any requested probes
-or full grids.
+or full grids. The kernel squeezes only the columns those read.
 """
 
 from __future__ import annotations
@@ -88,22 +88,30 @@ def analyze_signal(sig: Signal, cfg: PipelineConfig, probes=None,
     probes = probes or {}
     probe_cols = {name: band_to_bins(band, fs, M) for name, band in probes.items()}
     probe_masses = {name: BandMass() for name in probes}
+    # Squeeze only the columns something reads: the whole axis when the
+    # dssst grid is kept, else the hull of the search and probe bands.
+    if KIND_DSSST in collect:
+        c0, c1 = 0, M
+    else:
+        c0 = min([lo_bin] + [plo for plo, _ in probe_cols.values()])
+        c1 = max([hi_bin] + [phi for _, phi in probe_cols.values()])
 
     grids = {kind: np.empty((n_frames, M + 1)) for kind in collect}
     band_mag = np.empty((n_frames, hi_bin - lo_bin + 1))
 
     for rows, mags in dsst_blocks(sig, w, M, hop, cfg.gamma, cfg.upsilon,
-                                  kinds=collect):
-        band_mag[rows] = mags[KIND_DSSST][:, lo_bin : hi_bin + 1]
+                                  (c0, c1), kinds=collect):
+        dssst = mags[KIND_DSSST]
+        band_mag[rows] = dssst[:, lo_bin - c0 : hi_bin - c0 + 1]
         for name, (plo, phi) in probe_cols.items():
             probe_masses[name].spectrogram += float(
                 np.sum(mags[KIND_STFT][:, plo : phi + 1] ** 2))
             probe_masses[name].dssst += float(
-                np.sum(mags[KIND_DSSST][:, plo : phi + 1] ** 2))
+                np.sum(dssst[:, plo - c0 : phi - c0 + 1] ** 2))
         for kind in collect:
             grids[kind][rows] = mags[kind]
         # Free this block's arrays before the kernel computes the next one.
-        del mags
+        del mags, dssst
 
     return BoutAnalysis(band_mag=band_mag, band_bins=(lo_bin, hi_bin),
                         fft_half=M, window=w, hop=hop, fs=fs, t0=sig.t0,

@@ -132,7 +132,10 @@ def median_detrend(s: Signal, order: int | None = None) -> Signal:
     x = s.samples
     n = x.size
     if order > n:
-        raise ParameterError(f"median order {order} exceeds signal length {n}")
+        raise ParameterError(
+            f"signal spans {n / s.fs:g} s, shorter than the {order / s.fs:g} s "
+            f"running-median detrend window ({n} < {order} samples)"
+        )
 
     left = (order + 1) // 2 - 1  # samples strictly left of center
     right = order // 2  # samples strictly right of center

@@ -7,10 +7,13 @@ pure and frames are independent, so callers may parallelize over time.
 
 The de-shape synchrosqueezing chain lives here once: ``dsst_blocks`` runs
 STFT pair -> cepstral mask -> de-shaped STFT -> reassignment -> squeeze over
-blocks of frames, and the pipeline consumes it. The full-grid stage
-functions (``stft``, ``stct``, ``istct``, ``deshape``,
-``reassignment_operator``, ``synchrosqueeze``) apply the same row helpers to
-a whole grid and serve as the reference the chunked chain is tested against.
+blocks of frames, and the pipeline consumes it. It squeezes only a given
+range of output columns (the pipeline's search and probe bands), and
+de-shapes only the cells that land there; the full de-shaped STFT is never
+built unless asked for. The full-grid stage functions
+(``stft``, ``stct``, ``istct``, ``deshape``, ``reassignment_operator``,
+``synchrosqueeze``) apply the same row helpers to a whole grid and serve as
+the reference the chunked chain is tested against.
 """
 
 from __future__ import annotations
@@ -192,10 +195,14 @@ def _istct_interp_table(fft_half: int):
     return valid, col_lo, col_hi, weight
 
 
-def _istct_rows(ceps: np.ndarray, fft_half: int) -> np.ndarray:
+def _istct_rows(ceps: np.ndarray, fft_half: int, rows=slice(None),
+                cols=slice(None)) -> np.ndarray:
+    """De-shape mask of cepstral rows: the whole grid, or only the cells
+    ``(rows[i], cols[i])`` when index arrays are given."""
     valid, col_lo, col_hi, weight = _istct_interp_table(fft_half)
-    u = ceps[:, col_lo] * (1.0 - weight) + ceps[:, col_hi] * weight
-    u[:, ~valid] = 0.0
+    w = weight[cols]
+    u = ceps[rows, col_lo[cols]] * (1.0 - w) + ceps[rows, col_hi[cols]] * w
+    u[..., ~valid[cols]] = 0.0
     return u
 
 
@@ -224,9 +231,10 @@ def deshape(v: TFRGrid, u: TFRGrid) -> TFRGrid:
                    hop=v.hop, kind=KIND_DSSTFT, t0=v.t0)
 
 
-def _omega_rows(v_rows: np.ndarray, vd_rows: np.ndarray, upsilon: float,
-                window_half: int, fft_half: int) -> np.ndarray:
-    mask = np.abs(v_rows) > upsilon
+def _omega_rows(v_rows: np.ndarray, vd_rows: np.ndarray, vmag: np.ndarray,
+                upsilon: float, window_half: int, fft_half: int) -> np.ndarray:
+    """Reassignment rule of one block; ``vmag`` is ``|v_rows|``."""
+    mask = vmag > upsilon
     ratio = np.zeros_like(v_rows)
     np.divide(vd_rows, v_rows, out=ratio, where=mask)
     scale = 2.0 * fft_half / (2.0 * np.pi * (2 * window_half + 1))
@@ -251,23 +259,39 @@ def reassignment_operator(v: TFRGrid, vd: TFRGrid, upsilon: float,
         )
     if not upsilon > 0:
         raise ParameterError(f"upsilon must be positive, got {upsilon}")
-    omega = _omega_rows(v.values, vd.values, upsilon, window_half, v.fft_half)
+    omega = _omega_rows(v.values, vd.values, np.abs(v.values), upsilon,
+                        window_half, v.fft_half)
     return OmegaMatrix(omega, upsilon=upsilon)
 
 
-def _squeeze_rows(src_rows: np.ndarray, omega_rows: np.ndarray,
-                  fft_half: int) -> np.ndarray:
-    """Reassign each row's energy to the rounded target bins."""
-    n_rows, width = src_rows.shape
-    finite = np.isfinite(omega_rows)
-    rows, cols = np.nonzero(finite)
-    targets = np.rint(omega_rows[rows, cols]).astype(np.int64)
-    keep = (targets >= 0) & (targets <= fft_half)
-    rows, cols, targets = rows[keep], cols[keep], targets[keep]
-    flat = rows * width + targets
+def _squeeze_rows(src_rows: np.ndarray, omega_rows: np.ndarray, lo: int,
+                  hi: int, ceps=None) -> np.ndarray:
+    """Columns ``lo..hi`` of the squeezed rows, shape ``(n_rows, hi - lo + 1)``.
+
+    Only the cells whose rounded target lands in ``lo..hi`` are gathered,
+    so a narrow band reads a small share of the grid. ``np.nonzero`` keeps
+    row-major order, so each target bin sums the same cells in the same
+    order as a squeeze of the whole grid and its columns are bitwise equal.
+    With ``ceps``, each gathered ``src`` value is multiplied by the istct
+    mask of ``ceps`` at its cell, so ``W = V * mask`` is never built in full.
+    """
+    targets = np.rint(omega_rows)
+    rows, cols = np.nonzero((targets >= lo) & (targets <= hi))
+    width = hi - lo + 1
+    flat = rows * width + (targets[rows, cols].astype(np.int64) - lo)
     weights = src_rows[rows, cols]
+    if ceps is not None:
+        # Past about half the grid, one whole-grid mask and a gather beat
+        # evaluating it cell by cell; both give the same values.
+        fft_half = omega_rows.shape[1] - 1
+        if 2 * rows.size > omega_rows.size:
+            mask = _istct_rows(ceps, fft_half)[rows, cols]
+        else:
+            mask = _istct_rows(ceps, fft_half, rows, cols)
+        weights = weights * mask
+    n_rows = omega_rows.shape[0]
     size = n_rows * width
-    if np.iscomplexobj(src_rows):
+    if np.iscomplexobj(weights):
         out = (np.bincount(flat, weights=weights.real, minlength=size)
                + 1j * np.bincount(flat, weights=weights.imag, minlength=size))
     else:
@@ -288,40 +312,46 @@ def synchrosqueeze(src: TFRGrid, omega: OmegaMatrix,
             f"shape mismatch: src {src.values.shape} vs omega {omega.values.shape}"
         )
     vals = np.abs(src.values) ** 2 if squared else src.values
-    out = _squeeze_rows(vals, omega.values, src.fft_half)
+    out = _squeeze_rows(vals, omega.values, 0, src.fft_half)
     kind = KIND_DSSST if src.kind == KIND_DSSTFT else KIND_SST
     return TFRGrid(out, fs=src.fs, fft_half=src.fft_half, hop=src.hop,
                    kind=kind, t0=src.t0)
 
 
 def _dsst_rows(v: np.ndarray, vd: np.ndarray, window_half: int,
-               fft_half: int, gamma: float, upsilon: float, kinds) -> dict:
+               fft_half: int, gamma: float, upsilon: float, cols,
+               kinds) -> dict:
     """Stage magnitudes of one block from its STFT pair rows ``V``, ``V'``."""
     vmag = np.abs(v)
     ceps = _stct_rows(vmag, gamma)
-    mask = _istct_rows(ceps, fft_half)
-    wgrid = v * mask
-    omega = _omega_rows(v, vd, upsilon, window_half, fft_half)
-    mags = {KIND_STFT: vmag, KIND_STCT: ceps, KIND_ISTCT: mask,
-            KIND_DSSST: np.abs(_squeeze_rows(wgrid, omega, fft_half))}
-    if KIND_DSSTFT in kinds:
-        mags[KIND_DSSTFT] = np.abs(wgrid)
+    omega = _omega_rows(v, vd, vmag, upsilon, window_half, fft_half)
+    mags = {KIND_STFT: vmag, KIND_STCT: ceps,
+            KIND_DSSST: np.abs(_squeeze_rows(v, omega, *cols, ceps=ceps))}
+    if KIND_ISTCT in kinds or KIND_DSSTFT in kinds:
+        mask = _istct_rows(ceps, fft_half)
+        mags[KIND_ISTCT] = mask
+        if KIND_DSSTFT in kinds:
+            mags[KIND_DSSTFT] = np.abs(v * mask)
     if KIND_SST in kinds:
-        mags[KIND_SST] = np.abs(_squeeze_rows(v, omega, fft_half))
+        mags[KIND_SST] = np.abs(_squeeze_rows(v, omega, 0, fft_half))
     return mags
 
 
 def dsst_blocks(s: Signal, w: Window, fft_half: int, hop: int, gamma: float,
-                upsilon: float, kinds=()):
+                upsilon: float, cols, kinds=()):
     """De-shape synchrosqueezing chain over blocks of ``_CHUNK_FRAMES`` frames.
 
     Per block: STFT pair ``V``, ``V'`` -> cepstrum of ``|V|^gamma`` ->
-    de-shape mask -> ``W = V * mask`` -> reassignment rule from ``V'/V`` ->
-    squeezed ``W``. Yields ``(rows, mags)``: the block's slice of the frame
-    axis and the block's magnitude rows keyed by grid kind. The stft, stct,
-    istct-mask and dssst rows are always present, since the chain computes
-    them anyway. The dsstft rows cost one more magnitude and the sst rows one
-    more squeeze, so they are present only when named in ``kinds``.
+    reassignment rule from ``V'/V`` -> ``W = V * mask`` squeezed into the
+    inclusive column range ``cols = (lo, hi)``, de-shaping only the cells
+    that land there. Yields ``(rows, mags)``: the block's
+    slice of the frame axis and the block's magnitude rows keyed by grid
+    kind. The stft and stct rows are always present and full width, since
+    the chain computes them anyway; the dssst rows are always present and
+    hold columns ``lo..hi`` only, equal to those columns of a full squeeze.
+    The istct-mask, dsstft and sst rows are full width and present only
+    when named in ``kinds``, since each costs work the squeeze skips.
     """
     for rows, (v, vd) in _stft_blocks(s.samples, (w.h, w.dh), fft_half, hop):
-        yield rows, _dsst_rows(v, vd, w.K, fft_half, gamma, upsilon, kinds)
+        yield rows, _dsst_rows(v, vd, w.K, fft_half, gamma, upsilon, cols,
+                               kinds)

@@ -86,6 +86,16 @@ class TestRun:
                      "-o", str(tmp_path / "out")] + FAST_FLAGS)
         assert code == 2
 
+    @pytest.mark.parametrize("row", ["2,inf,1", "-inf,5,1"])
+    def test_non_finite_label_bound_is_data_error(self, synth_files, tmp_path,
+                                                  row):
+        _, csv_path, _, _ = synth_files
+        labels = tmp_path / "labels.csv"
+        labels.write_text(f"start_s,end_s,label\n{row}\n")
+        code = main(["run", str(csv_path), str(labels),
+                     "-o", str(tmp_path / "out")] + FAST_FLAGS)
+        assert code == 2
+
     def test_bad_config_file_is_config_error(self, synth_files, tmp_path):
         _, csv_path, labels_path, _ = synth_files
         cfg = tmp_path / "bad.cfg"

@@ -95,6 +95,13 @@ class TestLabelsCsv:
         with pytest.raises(DataFormatError):
             load_labels_csv(p)
 
+    @pytest.mark.parametrize("row", ["2,inf,1", "-inf,5,1", "nan,5,1"])
+    def test_non_finite_bound_rejected(self, tmp_path, row):
+        p = tmp_path / "labels.csv"
+        p.write_text(f"start_s,end_s,label\n0,1,1\n{row}\n")
+        with pytest.raises(DataFormatError, match=r"labels\.csv:3: .*finite"):
+            load_labels_csv(p)
+
     def test_short_bout_warning(self):
         warnings = check_bout_spans([BoutInterval(0.0, 5.0, 1)], 12.0)
         assert len(warnings) == 1 and "shorter" in warnings[0]

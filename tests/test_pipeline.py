@@ -1,6 +1,7 @@
 """End-to-end pipeline behavior on small, fast fixtures."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +127,16 @@ class TestRunPipeline:
         statuses = [b.status for b in report.bouts]
         assert statuses == ["ok", "error"]
         assert (tmp_path / "out" / "cadence.csv").exists()
+
+    def test_bout_shorter_than_detrend_window(self, small_fixture, tmp_path):
+        csv_path, _ = small_fixture
+        labels = tmp_path / "labels_short.csv"
+        labels.write_text("start_s,end_s,label\n2,7,1\n8,26,1\n")
+        report = run_pipeline(fast_config(), csv_path, labels, tmp_path / "out")
+        assert [b.status for b in report.bouts] == ["error", "ok"]
+        assert re.fullmatch(
+            r"signal spans 5 s, shorter than the 10 s running-median detrend "
+            r"window \(250 < 500 samples\)", report.bouts[0].message)
 
     def test_clipped_bout_warns(self, small_fixture, tmp_path):
         csv_path, labels_path = small_fixture

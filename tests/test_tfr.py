@@ -6,10 +6,11 @@ import pytest
 from gaitcadence.config import PipelineConfig
 from gaitcadence.errors import ParameterError, StructuralError
 from gaitcadence.pipeline import analyze_signal
+from gaitcadence.ridge import band_to_bins
 from gaitcadence.signal import Signal, gaussian_window
 from gaitcadence.synth import WaveShape
 from gaitcadence.tfr import GRID_KINDS
-from gaitcadence.tfr import (OmegaMatrix, TFRGrid, deshape, istct,
+from gaitcadence.tfr import (OmegaMatrix, TFRGrid, deshape, dsst_blocks, istct,
                              reassignment_operator, stct, stft, synchrosqueeze)
 
 
@@ -410,30 +411,115 @@ class TestHarmonicSuppressionInvariant:
         assert sw_ratio < 1.0
 
 
+def walk_signal(n=1600, fs=20.0, seed=8):
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) / fs
+    return Signal(np.abs(np.cos(2 * np.pi * t) + 0.3 * rng.normal(size=n)), fs)
+
+
+def full_grid_chain(sig, cfg):
+    """Every stage of the chain on the whole grid, by the reference functions."""
+    K = cfg.window_half(sig.fs)
+    w = gaussian_window(K, cfg.sigma)
+    M = cfg.fft_half(K)
+    v = stft(sig, w, M, cfg.hop)
+    vd = stft(sig, w, M, cfg.hop, derivative=True)
+    c = stct(v, cfg.gamma)
+    u = istct(c)
+    wgrid = deshape(v, u)
+    omega = reassignment_operator(v, vd, cfg.upsilon, K)
+    return {"stft": v, "stct": c, "istct-mask": u, "dsstft": wgrid,
+            "sst": synchrosqueeze(v, omega),
+            "dssst": synchrosqueeze(wgrid, omega), "omega": omega}
+
+
+def kernel_dssst(sig, cfg, cols):
+    """The kernel's dssst rows for the column range ``cols``, block by block."""
+    K = cfg.window_half(sig.fs)
+    w = gaussian_window(K, cfg.sigma)
+    return [mags["dssst"] for _, mags in
+            dsst_blocks(sig, w, cfg.fft_half(K), cfg.hop, cfg.gamma,
+                        cfg.upsilon, cols)]
+
+
+def small_config(hop):
+    return PipelineConfig(window_span_s=4.0, hop=hop, fs=None).validate()
+
+
 class TestChunkedChain:
     @pytest.mark.parametrize("hop", [1, 3])
     def test_matches_full_grid_chain(self, hop):
         # 1600 and 534 frames: both cross a 512-frame block boundary
-        rng = np.random.default_rng(8)
-        t = np.arange(1600) / 20.0
-        sig = Signal(np.abs(np.cos(2 * np.pi * t) + 0.3 * rng.normal(size=t.size)),
-                     fs=20.0)
-        cfg = PipelineConfig(window_span_s=4.0, hop=hop, fs=None).validate()
+        sig = walk_signal()
+        cfg = small_config(hop)
         analysis = analyze_signal(sig, cfg, collect=GRID_KINDS)
-
-        K = cfg.window_half(sig.fs)
-        w = gaussian_window(K, cfg.sigma)
-        M = cfg.fft_half(K)
-        v = stft(sig, w, M, hop)
-        vd = stft(sig, w, M, hop, derivative=True)
-        c = stct(v, cfg.gamma)
-        u = istct(c)
-        wgrid = deshape(v, u)
-        omega = reassignment_operator(v, vd, cfg.upsilon, K)
-        full = {"stft": v, "stct": c, "istct-mask": u, "dsstft": wgrid,
-                "sst": synchrosqueeze(v, omega),
-                "dssst": synchrosqueeze(wgrid, omega)}
+        full = full_grid_chain(sig, cfg)
         assert analysis.n_frames == -(-1600 // hop)
         for kind in GRID_KINDS:
             assert (analysis.grids[kind].tobytes()
                     == full[kind].magnitude().tobytes()), kind
+
+    @pytest.mark.parametrize("hop", [1, 3])
+    @pytest.mark.parametrize("where", ["inner", "bin 0", "bin M"])
+    def test_band_rows_match_full_squeeze(self, hop, where):
+        sig = walk_signal()
+        cfg = small_config(hop)
+        full = full_grid_chain(sig, cfg)["dssst"].magnitude()
+        M = full.shape[1] - 1
+        lo, hi = {"inner": (20, 60), "bin 0": (0, 12),
+                  "bin M": (M - 30, M)}[where]
+        blocks = kernel_dssst(sig, cfg, (lo, hi))
+        assert len(blocks) > 1
+        got = np.concatenate(blocks)
+        assert got.shape == (full.shape[0], hi - lo + 1)
+        assert got.tobytes() == np.ascontiguousarray(full[:, lo : hi + 1]).tobytes()
+        assert np.any(got > 0)
+
+    def test_block_with_no_cell_in_range_is_zero(self):
+        # Frames 512..1023 see only zeros, so no cell of block 2 is reassigned.
+        sig = walk_signal()
+        cfg = small_config(1)
+        K = cfg.window_half(sig.fs)
+        sig.samples[512 - K : 1024 + K] = 0.0
+        chain = full_grid_chain(sig, cfg)
+        assert not np.any(chain["omega"].finite_mask[512:1024])
+        blocks = kernel_dssst(sig, cfg, (20, 60))
+        assert blocks[1].shape == (512, 41)
+        assert blocks[1].tobytes() == np.zeros((512, 41)).tobytes()
+        full = chain["dssst"].magnitude()[:, 20:61]
+        assert np.concatenate(blocks).tobytes() == np.ascontiguousarray(full).tobytes()
+
+    @pytest.mark.parametrize("hop", [1, 3])
+    def test_probes_past_the_search_band(self, hop):
+        sig = walk_signal()
+        cfg = small_config(hop)
+        probes = {"below": (0.0, 0.6), "above": (2.0, 9.5), "inside": (0.8, 1.2)}
+        analysis = analyze_signal(sig, cfg, probes=probes)
+        full = full_grid_chain(sig, cfg)
+        v, sw = full["stft"].magnitude(), full["dssst"].magnitude()
+        lo, hi = analysis.band_bins
+        assert (analysis.band_mag.tobytes()
+                == np.ascontiguousarray(sw[:, lo : hi + 1]).tobytes())
+        for name, band in probes.items():
+            plo, phi = band_to_bins(band, sig.fs, analysis.fft_half)
+            if name != "inside":
+                assert plo < lo or phi > hi, name
+            mass = analysis.probe_masses[name]
+            # summed block by block, as the pipeline does
+            spec = sum(float(np.sum(v[i : i + 512, plo : phi + 1] ** 2))
+                       for i in range(0, v.shape[0], 512))
+            dssst = sum(float(np.sum(sw[i : i + 512, plo : phi + 1] ** 2))
+                        for i in range(0, sw.shape[0], 512))
+            assert (mass.spectrogram, mass.dssst) == (spec, dssst), name
+            assert mass.dssst > 0, name
+
+    @pytest.mark.parametrize("hop", [1, 3])
+    def test_collecting_dssst_keeps_band_mag(self, hop):
+        sig = walk_signal()
+        cfg = small_config(hop)
+        plain = analyze_signal(sig, cfg)
+        collected = analyze_signal(sig, cfg, collect=("dssst",))
+        assert plain.band_mag.tobytes() == collected.band_mag.tobytes()
+        lo, hi = plain.band_bins
+        assert (np.ascontiguousarray(collected.grids["dssst"][:, lo : hi + 1])
+                .tobytes() == plain.band_mag.tobytes())
