@@ -195,14 +195,24 @@ def _istct_interp_table(fft_half: int):
     return valid, col_lo, col_hi, weight
 
 
-def _istct_rows(ceps: np.ndarray, fft_half: int, rows=slice(None),
-                cols=slice(None)) -> np.ndarray:
-    """De-shape mask of cepstral rows: the whole grid, or only the cells
-    ``(rows[i], cols[i])`` when index arrays are given."""
+def _istct_rows(ceps: np.ndarray, fft_half: int) -> np.ndarray:
     valid, col_lo, col_hi, weight = _istct_interp_table(fft_half)
+    u = ceps[:, col_lo] * (1.0 - weight) + ceps[:, col_hi] * weight
+    u[:, ~valid] = 0.0
+    return u
+
+
+def _istct_cells(ceps: np.ndarray, fft_half: int,
+                 cells: np.ndarray) -> np.ndarray:
+    """``_istct_rows(ceps, fft_half).ravel()[cells]``, evaluated only at the
+    given row-major flat cell indices."""
+    valid, col_lo, _, weight = _istct_interp_table(fft_half)
+    cols = cells % (fft_half + 1)
+    lo = cells + (col_lo[cols] - cols)  # flat index of (row, col_lo[col])
     w = weight[cols]
-    u = ceps[rows, col_lo[cols]] * (1.0 - w) + ceps[rows, col_hi[cols]] * w
-    u[..., ~valid[cols]] = 0.0
+    flat = ceps.ravel()
+    u = flat[lo] * (1.0 - w) + flat[lo - 1] * w  # col_hi is col_lo - 1
+    u[~valid[cols]] = 0.0
     return u
 
 
@@ -269,27 +279,21 @@ def _squeeze_rows(src_rows: np.ndarray, omega_rows: np.ndarray, lo: int,
     """Columns ``lo..hi`` of the squeezed rows, shape ``(n_rows, hi - lo + 1)``.
 
     Only the cells whose rounded target lands in ``lo..hi`` are gathered,
-    so a narrow band reads a small share of the grid. ``np.nonzero`` keeps
-    row-major order, so each target bin sums the same cells in the same
-    order as a squeeze of the whole grid and its columns are bitwise equal.
+    so a narrow band reads a small share of the grid. ``np.flatnonzero``
+    keeps row-major order, so each target bin sums the same cells in the
+    same order as a squeeze of the whole grid and its columns are bitwise
+    equal.
     With ``ceps``, each gathered ``src`` value is multiplied by the istct
     mask of ``ceps`` at its cell, so ``W = V * mask`` is never built in full.
     """
-    targets = np.rint(omega_rows)
-    rows, cols = np.nonzero((targets >= lo) & (targets <= hi))
+    n_rows, n_cols = omega_rows.shape
+    targets = np.rint(omega_rows).ravel()
+    cells = np.flatnonzero((targets >= lo) & (targets <= hi))
     width = hi - lo + 1
-    flat = rows * width + (targets[rows, cols].astype(np.int64) - lo)
-    weights = src_rows[rows, cols]
+    flat = (cells // n_cols) * width + (targets[cells].astype(np.int64) - lo)
+    weights = src_rows.ravel()[cells]
     if ceps is not None:
-        # Past about half the grid, one whole-grid mask and a gather beat
-        # evaluating it cell by cell; both give the same values.
-        fft_half = omega_rows.shape[1] - 1
-        if 2 * rows.size > omega_rows.size:
-            mask = _istct_rows(ceps, fft_half)[rows, cols]
-        else:
-            mask = _istct_rows(ceps, fft_half, rows, cols)
-        weights = weights * mask
-    n_rows = omega_rows.shape[0]
+        weights = weights * _istct_cells(ceps, n_cols - 1, cells)
     size = n_rows * width
     if np.iscomplexobj(weights):
         out = (np.bincount(flat, weights=weights.real, minlength=size)
@@ -344,13 +348,13 @@ def dsst_blocks(s: Signal, w: Window, fft_half: int, hop: int, gamma: float,
     Per block: STFT pair ``V``, ``V'`` -> cepstrum of ``|V|^gamma`` ->
     reassignment rule from ``V'/V`` -> ``W = V * mask`` squeezed into the
     inclusive column range ``cols = (lo, hi)``, de-shaping only the cells
-    that land there. Yields ``(rows, mags)``: the block's
-    slice of the frame axis and the block's magnitude rows keyed by grid
-    kind. The stft and stct rows are always present and full width, since
-    the chain computes them anyway; the dssst rows are always present and
-    hold columns ``lo..hi`` only, equal to those columns of a full squeeze.
-    The istct-mask, dsstft and sst rows are full width and present only
-    when named in ``kinds``, since each costs work the squeeze skips.
+    that land there. Yields ``(rows, mags)``: the block's slice of the frame
+    axis and the block's magnitude rows keyed by grid kind. The stft and
+    stct rows are always present and full width, since the chain computes
+    them anyway; the dssst rows are always present and hold columns
+    ``lo..hi`` only, equal to those columns of a full squeeze. The
+    istct-mask, dsstft and sst rows are full width and present only when
+    named in ``kinds``, since each costs work the squeeze skips.
     """
     for rows, (v, vd) in _stft_blocks(s.samples, (w.h, w.dh), fft_half, hop):
         yield rows, _dsst_rows(v, vd, w.K, fft_half, gamma, upsilon, cols,
