@@ -284,9 +284,6 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_CONFIG
-    except click.UsageError as exc:
-        exc.show()
-        return EXIT_CONFIG
     except click.ClickException as exc:
         exc.show()
         return EXIT_CONFIG

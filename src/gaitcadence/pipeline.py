@@ -3,8 +3,8 @@
 Each bout is analyzed on its own slice of samples, so one bout's data can
 never influence another bout's outputs. The transform chain itself is
 ``tfr.dsst_blocks``; this module keeps only what the run needs from each
-block: the band-restricted squeezed magnitudes, plus any requested probes
-or full grids. The kernel squeezes only the columns those read.
+block: the squeezed magnitudes in the search band, plus any requested full
+grids. The kernel squeezes only the columns those read.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,18 +25,9 @@ from .io import (check_bout_spans, export_tfr, load_labels_csv,
 from .ridge import CadenceTrace, band_to_bins, cadence_from_ridge, ridge_dp, RidgeCurve
 from .signal import Signal, TriaxialRecord, Window, gaussian_window, median_detrend, \
     rectify, vector_magnitude
-from .tfr import (GRID_KINDS, KIND_DSSST, KIND_STFT, TFRGrid, dsst_blocks,
-                  frame_starts)
+from .tfr import GRID_KINDS, KIND_DSSST, TFRGrid, dsst_blocks, frame_starts
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass
-class BandMass:
-    """Accumulated spectral energy of one frequency band."""
-
-    spectrogram: float = 0.0  # sum of |V|^2
-    dssst: float = 0.0  # sum of |SW|^2
 
 
 @dataclass
@@ -51,7 +42,6 @@ class BoutAnalysis:
     fs: float
     t0: float
     n_frames: int
-    probe_masses: dict = field(default_factory=dict)
     grids: dict = field(default_factory=dict)
 
 
@@ -62,15 +52,15 @@ def preprocess(rec: TriaxialRecord, t0: float = 0.0) -> Signal:
     return rectify(detrended)
 
 
-def analyze_signal(sig: Signal, cfg: PipelineConfig, probes=None,
+def analyze_signal(sig: Signal, cfg: PipelineConfig,
                    collect=()) -> BoutAnalysis:
     """Run the de-shape synchrosqueezing chain over one signal.
 
-    ``probes`` maps names to (low, high) Hz bands whose spectrogram and
-    squeezed energies are accumulated on the fly. ``collect`` names grid
-    kinds ("stft", "stct", "istct-mask", "dsstft", "sst", "dssst") whose full
-    magnitude matrices should be kept; anything not requested is discarded
-    chunk by chunk to bound memory. An unknown kind raises ``ParameterError``.
+    The squeezed magnitudes in ``cfg.band_hz`` are always kept as
+    ``band_mag``. ``collect`` names grid kinds ("stft", "stct", "istct-mask",
+    "dsstft", "sst", "dssst") whose full magnitude matrices should be kept;
+    anything not requested is discarded chunk by chunk to bound memory. An
+    unknown kind raises ``ParameterError``.
     """
     collect = set(collect)
     unknown = collect.difference(GRID_KINDS)
@@ -85,38 +75,24 @@ def analyze_signal(sig: Signal, cfg: PipelineConfig, probes=None,
     n_frames = frame_starts(len(sig), hop).size
     lo_bin, hi_bin = band_to_bins(cfg.band_hz, fs, M)
 
-    probes = probes or {}
-    probe_cols = {name: band_to_bins(band, fs, M) for name, band in probes.items()}
-    probe_masses = {name: BandMass() for name in probes}
     # Squeeze only the columns something reads: the whole axis when the
-    # dssst grid is kept, else the hull of the search and probe bands.
-    if KIND_DSSST in collect:
-        c0, c1 = 0, M
-    else:
-        c0 = min([lo_bin] + [plo for plo, _ in probe_cols.values()])
-        c1 = max([hi_bin] + [phi for _, phi in probe_cols.values()])
+    # dssst grid is kept, else the search band.
+    c0, c1 = (0, M) if KIND_DSSST in collect else (lo_bin, hi_bin)
 
     grids = {kind: np.empty((n_frames, M + 1)) for kind in collect}
     band_mag = np.empty((n_frames, hi_bin - lo_bin + 1))
 
     for rows, mags in dsst_blocks(sig, w, M, hop, cfg.gamma, cfg.upsilon,
                                   (c0, c1), kinds=collect):
-        dssst = mags[KIND_DSSST]
-        band_mag[rows] = dssst[:, lo_bin - c0 : hi_bin - c0 + 1]
-        for name, (plo, phi) in probe_cols.items():
-            probe_masses[name].spectrogram += float(
-                np.sum(mags[KIND_STFT][:, plo : phi + 1] ** 2))
-            probe_masses[name].dssst += float(
-                np.sum(dssst[:, plo - c0 : phi - c0 + 1] ** 2))
+        band_mag[rows] = mags[KIND_DSSST][:, lo_bin - c0 : hi_bin - c0 + 1]
         for kind in collect:
             grids[kind][rows] = mags[kind]
         # Free this block's arrays before the kernel computes the next one.
-        del mags, dssst
+        del mags
 
     return BoutAnalysis(band_mag=band_mag, band_bins=(lo_bin, hi_bin),
                         fft_half=M, window=w, hop=hop, fs=fs, t0=sig.t0,
-                        n_frames=n_frames, probe_masses=probe_masses,
-                        grids=grids)
+                        n_frames=n_frames, grids=grids)
 
 
 def extract_bout_ridge(analysis: BoutAnalysis, penalty: float) -> RidgeCurve:
@@ -166,19 +142,8 @@ class RunReport:
             "elapsed_s": self.elapsed_s,
             "warnings": list(self.warnings),
             "outputs": list(self.outputs),
-            "bouts": [
-                {
-                    "start_s": b.start_s,
-                    "end_s": b.end_s,
-                    "label": b.label,
-                    "status": b.status,
-                    "message": b.message,
-                    "n_frames": b.n_frames,
-                    "mean_cadence_hz": b.mean_cadence_hz,
-                    "elapsed_s": round(b.elapsed_s, 3),
-                }
-                for b in self.bouts
-            ],
+            "bouts": [{**asdict(b), "elapsed_s": round(b.elapsed_s, 3)}
+                      for b in self.bouts],
         }
 
 
@@ -209,7 +174,7 @@ def slice_record(rec: TriaxialRecord, start_s=None,
 
 
 def analyze_bout(rec: TriaxialRecord, bout: BoutInterval, cfg: PipelineConfig,
-                 probes=None, collect=()):
+                 collect=()):
     """Preprocess and analyze one bout's slice.
 
     Returns ``(analysis, ridge, trace)``; a degenerate ridge is flagged on
@@ -217,7 +182,7 @@ def analyze_bout(rec: TriaxialRecord, bout: BoutInterval, cfg: PipelineConfig,
     """
     sliced, t0 = slice_record(rec, bout.start_s, bout.end_s)
     sig = preprocess(sliced, t0=t0)
-    analysis = analyze_signal(sig, cfg, probes=probes, collect=collect)
+    analysis = analyze_signal(sig, cfg, collect=collect)
     ridge = extract_bout_ridge(analysis, cfg.ridge_lambda)
     trace = cadence_from_ridge(ridge, fs=analysis.fs, fft_half=analysis.fft_half,
                                hop=analysis.hop, t0=t0)

@@ -32,9 +32,6 @@ class ConstantProfile:
     def sample(self, t: np.ndarray, start: float, end: float) -> np.ndarray:
         return np.full_like(t, self.value)
 
-    def to_dict(self) -> dict:
-        return {"kind": "constant", "value": self.value}
-
 
 @dataclass
 class LinearProfile:
@@ -46,19 +43,6 @@ class LinearProfile:
     def sample(self, t: np.ndarray, start: float, end: float) -> np.ndarray:
         frac = (t - start) / (end - start)
         return self.start_value + (self.end_value - self.start_value) * frac
-
-    def to_dict(self) -> dict:
-        return {"kind": "linear", "start_value": self.start_value,
-                "end_value": self.end_value}
-
-
-def profile_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind == "constant":
-        return ConstantProfile(float(d["value"]))
-    if kind == "linear":
-        return LinearProfile(float(d["start_value"]), float(d["end_value"]))
-    raise ParameterError(f"unknown profile kind {kind!r}")
 
 
 @dataclass
@@ -135,9 +119,6 @@ class SynthResult:
     clean: Signal
     truth_if: np.ndarray  # per-sample instantaneous frequency; NaN outside bouts
     bouts: list
-
-    def truth_cadence(self) -> np.ndarray:
-        return 2.0 * self.truth_if
 
 
 def _validate_bout(bout: BoutModel, t: np.ndarray, phi_prime: np.ndarray,

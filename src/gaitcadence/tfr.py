@@ -8,8 +8,8 @@ pure and frames are independent, so callers may parallelize over time.
 The de-shape synchrosqueezing chain lives here once: ``dsst_blocks`` runs
 STFT pair -> cepstral mask -> de-shaped STFT -> reassignment -> squeeze over
 blocks of frames, and the pipeline consumes it. It squeezes only a given
-range of output columns (the pipeline's search and probe bands), and
-de-shapes only the cells that land there; the full de-shaped STFT is never
+range of output columns (the pipeline's search band), and de-shapes
+only the cells that land there; the full de-shaped STFT is never
 built unless asked for. The full-grid stage functions
 (``stft``, ``stct``, ``istct``, ``deshape``, ``reassignment_operator``,
 ``synchrosqueeze``) apply the same row helpers to a whole grid and serve as
@@ -303,20 +303,18 @@ def _squeeze_rows(src_rows: np.ndarray, omega_rows: np.ndarray, lo: int,
     return out.reshape(n_rows, width)
 
 
-def synchrosqueeze(src: TFRGrid, omega: OmegaMatrix,
-                   squared: bool = False) -> TFRGrid:
+def synchrosqueeze(src: TFRGrid, omega: OmegaMatrix) -> TFRGrid:
     """Sharpen a TFR by moving each cell's value to its reassigned bin.
 
     The target column is ``round(omega)`` (zero-based); out-of-range targets
-    are discarded and ``-inf`` cells contribute nothing. By default the
-    complex values are summed; ``squared=True`` squeezes ``|src|^2`` instead.
+    are discarded and ``-inf`` cells contribute nothing. The values of
+    ``src`` are summed as they are, complex or real.
     """
     if src.values.shape != omega.values.shape:
         raise StructuralError(
             f"shape mismatch: src {src.values.shape} vs omega {omega.values.shape}"
         )
-    vals = np.abs(src.values) ** 2 if squared else src.values
-    out = _squeeze_rows(vals, omega.values, 0, src.fft_half)
+    out = _squeeze_rows(src.values, omega.values, 0, src.fft_half)
     kind = KIND_DSSST if src.kind == KIND_DSSTFT else KIND_SST
     return TFRGrid(out, fs=src.fs, fft_half=src.fft_half, hop=src.hop,
                    kind=kind, t0=src.t0)
