@@ -250,15 +250,14 @@ def run_pipeline(cfg: PipelineConfig, input_csv, labels_csv, outdir,
             ))
 
     if traces:
-        all_times = np.concatenate([t.times for t in traces])
-        order = np.argsort(all_times, kind="stable")
+        # The bouts are sorted and disjoint, so the traces are in time order.
         merged = CadenceTrace(
-            times=all_times[order],
-            if_hz=np.concatenate([t.if_hz for t in traces])[order],
-            cadence_hz=np.concatenate([t.cadence_hz for t in traces])[order],
+            times=np.concatenate([t.times for t in traces]),
+            if_hz=np.concatenate([t.if_hz for t in traces]),
+            cadence_hz=np.concatenate([t.cadence_hz for t in traces]),
             frame_dt=traces[0].frame_dt,
         )
-        merged_labels = np.concatenate(labels_per_frame)[order]
+        merged_labels = np.concatenate(labels_per_frame)
 
         trace_path = outdir / "cadence.csv"
         write_trace_csv(trace_path, merged, merged_labels)

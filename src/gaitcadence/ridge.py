@@ -67,12 +67,13 @@ def ridge_dp(mag: np.ndarray, penalty: float):
 
     Maximizes ``sum_t log(mag[t, c(t)] / Z) - penalty * sum |c(t)-c(t-1)|^2``
     where ``Z`` is the total magnitude of the block and zero cells are
-    floored at ``1e-12 * Z`` before the log. Ties resolve to the lowest bin,
-    front to back. Returns ``(bins, objective, degenerate)`` with ``bins``
-    local to the block columns.
+    floored at ``1e-12 * Z`` before the log. Ties, as rounded in the backward
+    sums, resolve to the lowest bin front to back. Returns ``(bins,
+    objective, degenerate)`` with ``bins`` local to the block columns.
 
-    O(T * B^2); intended for physically restricted bands (B up to a few
-    hundred bins).
+    O(T * B^2) time; intended for physically restricted bands (B up to a few
+    hundred bins). Besides the score block it keeps one suffix row and a
+    ``(T-1, B)`` successor-pointer array, one byte per cell for B <= 256.
     """
     mag = np.asarray(mag, dtype=np.float64)
     if mag.ndim != 2 or mag.size == 0:
@@ -85,23 +86,25 @@ def ridge_dp(mag: np.ndarray, penalty: float):
     if total <= 0:
         return np.zeros(T, dtype=np.int64), -math.inf, True
 
-    score = np.log(np.maximum(mag, ZERO_FLOOR_FRACTION * total)) - np.log(total)
+    score = np.maximum(mag, ZERO_FLOOR_FRACTION * total)
+    np.log(score, out=score)
+    score -= np.log(total)
 
     offsets = np.arange(B, dtype=np.float64)
     jump = penalty * (offsets[:, None] - offsets[None, :]) ** 2
 
-    # Backward accumulation so the forward reconstruction can break ties
-    # toward the lowest bin at every frame starting from the first.
-    suffix = np.empty_like(score)
-    suffix[-1] = score[-1]
+    # One backward pass; after[t, b] is the lowest of bin b's best next bins.
+    after = np.empty((T - 1, B), dtype=np.min_scalar_type(B - 1))
+    suffix = score[-1]
     for t in range(T - 2, -1, -1):
-        suffix[t] = score[t] + np.max(suffix[t + 1][None, :] - jump, axis=1)
+        cand = suffix[None, :] - jump
+        after[t] = np.argmax(cand, axis=1)
+        suffix = score[t] + cand[np.arange(B), after[t]]
 
     bins = np.empty(T, dtype=np.int64)
-    bins[0] = int(np.argmax(suffix[0]))
+    bins[0] = np.argmax(suffix)
     for t in range(1, T):
-        cand = suffix[t] - penalty * (offsets - bins[t - 1]) ** 2
-        bins[t] = int(np.argmax(cand))
+        bins[t] = after[t - 1, bins[t - 1]]
 
     objective = float(score[np.arange(T), bins].sum()
                       - penalty * np.sum(np.diff(bins).astype(np.float64) ** 2))

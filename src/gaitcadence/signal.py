@@ -6,6 +6,7 @@ return new containers, so concurrent use is safe.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,9 @@ class Signal:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise StructuralError("samples must be a non-empty 1-D sequence")
+        bad = np.flatnonzero(~np.isfinite(self.samples))
+        if bad.size:
+            raise ParameterError(f"sample {bad[0]} is not finite: {self.samples[bad[0]]}")
         if not self.fs > 0:
             raise ParameterError(f"sampling rate must be positive, got {self.fs}")
 
@@ -122,7 +126,9 @@ def median_detrend(s: Signal, order: int | None = None) -> Signal:
     The window holds ``order`` samples centered on each output sample
     (``ceil(order/2)`` at or left of center, ``floor(order/2)`` right of it)
     and shrinks to the in-range samples near the edges. Even-count medians
-    average the two middle values. Default order is ``round(10 * fs)``.
+    average the two middle values, bit for bit as ``np.median`` does. One
+    pass slides a sorted list of the window along ``x.tolist()``, so each
+    step moves O(order) list entries. Default order is ``round(10 * fs)``.
     """
     if order is None:
         order = int(round(10.0 * s.fs))
@@ -139,19 +145,16 @@ def median_detrend(s: Signal, order: int | None = None) -> Signal:
 
     left = (order + 1) // 2 - 1  # samples strictly left of center
     right = order // 2  # samples strictly right of center
+    vals = x.tolist()
+    window = sorted(vals[:right])
     med = np.empty(n)
-
-    # Full windows cover centers left .. n-1-right; chunk to bound memory.
-    windows = np.lib.stride_tricks.sliding_window_view(x, order)
-    interior = med[left : n - right]
-    step = max(1, 4_000_000 // order)
-    for i in range(0, windows.shape[0], step):
-        interior[i : i + step] = np.median(windows[i : i + step], axis=1)
-
-    for k in range(left):
-        med[k] = np.median(x[: k + right + 1])
-    for k in range(n - right, n):
-        med[k] = np.median(x[k - left :])
+    for k in range(n):
+        if k + right < n:
+            bisect.insort(window, vals[k + right])
+        if k > left:
+            del window[bisect.bisect_left(window, vals[k - left - 1])]
+        m = len(window)
+        med[k] = (window[(m - 1) // 2] + window[m // 2]) / 2
 
     return Signal(x - med, s.fs, s.t0)
 

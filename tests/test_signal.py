@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaitcadence.errors import ParameterError, StructuralError
 from gaitcadence.signal import (Signal, TriaxialRecord, gaussian_window,
@@ -37,6 +39,13 @@ class TestSignal:
     def test_rejects_empty(self):
         with pytest.raises(StructuralError):
             Signal([], fs=10.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        x = np.ones(20)
+        x[[7, 12]] = bad
+        with pytest.raises(ParameterError, match="sample 7 "):
+            Signal(x, fs=10.0)
 
 
 class TestVectorMagnitude:
@@ -97,6 +106,15 @@ class TestMedianDetrend:
         x = rng.normal(size=130)
         out = median_detrend(Signal(x, fs=10.0), order).samples
         np.testing.assert_allclose(out, x - brute_median_baseline(x, order))
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=24)))
+    def test_bitwise_equal_to_reference_with_repeats(self, values):
+        x = np.asarray(values) + 0.0  # one zero sign, as np.median may pick either
+        for order in range(1, x.size + 1):
+            out = median_detrend(Signal(x, fs=10.0), order).samples
+            assert out.tobytes() == (x - brute_median_baseline(x, order)).tobytes()
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(3)
