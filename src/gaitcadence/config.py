@@ -30,6 +30,10 @@ class PipelineConfig:
     location: str = "other"
 
     def validate(self) -> "PipelineConfig":
+        for key, (name, parser) in _KEY_PARSERS.items():
+            value = getattr(self, name)
+            if parser is float and value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if self.window_span_s <= 0:
             raise ConfigError("window_span_s must be positive")
         if self.sigma <= 0:

@@ -23,7 +23,7 @@ from .errors import CadenceError, DataFormatError, ParameterError
 from .io import (check_bout_spans, export_tfr, load_labels_csv,
                  load_triaxial_csv, write_summary_csv, write_trace_csv)
 from .ridge import CadenceTrace, band_to_bins, cadence_from_ridge, ridge_dp, RidgeCurve
-from .signal import Signal, TriaxialRecord, Window, gaussian_window, median_detrend, \
+from .signal import Signal, TriaxialRecord, gaussian_window, median_detrend, \
     rectify, vector_magnitude
 from .tfr import GRID_KINDS, KIND_DSSST, TFRGrid, dsst_blocks, frame_starts
 
@@ -37,7 +37,6 @@ class BoutAnalysis:
     band_mag: np.ndarray  # |SW| restricted to the search band, frames x bins
     band_bins: tuple[int, int]
     fft_half: int
-    window: Window
     hop: int
     fs: float
     t0: float
@@ -91,7 +90,7 @@ def analyze_signal(sig: Signal, cfg: PipelineConfig,
         del mags
 
     return BoutAnalysis(band_mag=band_mag, band_bins=(lo_bin, hi_bin),
-                        fft_half=M, window=w, hop=hop, fs=fs, t0=sig.t0,
+                        fft_half=M, hop=hop, fs=fs, t0=sig.t0,
                         n_frames=n_frames, grids=grids)
 
 
@@ -99,7 +98,7 @@ def extract_bout_ridge(analysis: BoutAnalysis, penalty: float) -> RidgeCurve:
     """Penalized ridge over the full band-restricted analysis block."""
     bins, objective, degenerate = ridge_dp(analysis.band_mag, penalty)
     lo_bin, hi_bin = analysis.band_bins
-    return RidgeCurve(bins=bins + lo_bin, band=(lo_bin, hi_bin), penalty=penalty,
+    return RidgeCurve(bins=bins + lo_bin, band=(lo_bin, hi_bin),
                       objective=objective, degenerate=degenerate)
 
 

@@ -24,7 +24,6 @@ class RidgeCurve:
 
     bins: np.ndarray
     band: tuple[int, int]
-    penalty: float
     objective: float
     degenerate: bool = False
 
@@ -78,8 +77,8 @@ def ridge_dp(mag: np.ndarray, penalty: float):
     mag = np.asarray(mag, dtype=np.float64)
     if mag.ndim != 2 or mag.size == 0:
         raise StructuralError("ridge block must be a non-empty 2-D matrix")
-    if penalty < 0:
-        raise ParameterError(f"penalty must be >= 0, got {penalty}")
+    if not (math.isfinite(penalty) and penalty >= 0):
+        raise ParameterError(f"penalty must be finite and >= 0, got {penalty}")
     T, B = mag.shape
 
     total = mag.sum()

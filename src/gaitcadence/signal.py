@@ -93,7 +93,6 @@ class Window:
     h: np.ndarray
     dh: np.ndarray
     K: int
-    sigma: float
 
     def __post_init__(self):
         self.h = np.asarray(self.h, dtype=np.float64)
@@ -179,4 +178,4 @@ def gaussian_window(K: int, sigma: float) -> Window:
     u = np.arange(2 * K + 1) / (2.0 * K) - 0.5
     h = np.exp(-(u**2) / (2.0 * sigma**2))
     dh = -u * h / sigma**2
-    return Window(h=h, dh=dh, K=K, sigma=sigma)
+    return Window(h=h, dh=dh, K=K)

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
-from scipy.signal import lfilter
 
 from .errors import ModelValidationError, ParameterError
 from .signal import Signal
@@ -122,7 +120,7 @@ class SynthResult:
 
 
 def _validate_bout(bout: BoutModel, t: np.ndarray, phi_prime: np.ndarray,
-                   amp: np.ndarray, eps: float, fs: float):
+                   amp: np.ndarray, eps: float, steps: np.ndarray):
     if bout.end_s <= bout.start_s:
         raise ModelValidationError(
             f"bout [{bout.start_s}, {bout.end_s}] has nonpositive length"
@@ -154,7 +152,7 @@ def _validate_bout(bout: BoutModel, t: np.ndarray, phi_prime: np.ndarray,
             f"C4 violated: wave shape has RMS {bout.shape.rms():.6f}, expected 1 "
             "(use WaveShape.normalized())"
         )
-    cycles = float(trapezoid(phi_prime, t)) if t.size > 1 else 0.0
+    cycles = float(steps.sum())
     if cycles < 10.0:
         raise ModelValidationError(
             f"C6 violated: bout covers {cycles:.2f} cycles, needs at least 10"
@@ -182,7 +180,10 @@ def ar1_noise(n: int, sd: float, rho: float, rng) -> np.ndarray:
     x[0] = rng.normal(0.0, sd)
     if n > 1:
         x[1:] = rng.normal(0.0, innov_sd, size=n - 1)
-    return lfilter([1.0], [1.0, -rho], x)
+    y = x.tolist()
+    for k in range(1, n):
+        y[k] += rho * y[k - 1]
+    return np.array(y)
 
 
 def synthesize_walk(spec: WalkingModelSpec, seed: int = 0) -> SynthResult:
@@ -218,8 +219,10 @@ def synthesize_walk(spec: WalkingModelSpec, seed: int = 0) -> SynthResult:
             )
         phi_prime = bout.if_profile.sample(tb, bout.start_s, bout.end_s)
         amp = bout.amp_profile.sample(tb, bout.start_s, bout.end_s)
-        _validate_bout(bout, tb, phi_prime, amp, spec.slow_eps, spec.fs)
-        phase = bout.phase0 + cumulative_trapezoid(phi_prime, tb, initial=0.0)
+        # Trapezoid rule: the phase gained between consecutive samples.
+        steps = np.diff(tb) * (phi_prime[1:] + phi_prime[:-1]) / 2.0
+        _validate_bout(bout, tb, phi_prime, amp, spec.slow_eps, steps)
+        phase = bout.phase0 + np.concatenate([[0.0], np.cumsum(steps)])
         clean[mask] = amp * bout.shape.evaluate(phase)
         truth_if[mask] = phi_prime
 

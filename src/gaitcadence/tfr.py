@@ -88,7 +88,6 @@ class OmegaMatrix:
     """
 
     values: np.ndarray
-    upsilon: float
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -271,7 +270,7 @@ def reassignment_operator(v: TFRGrid, vd: TFRGrid, upsilon: float,
         raise ParameterError(f"upsilon must be positive, got {upsilon}")
     omega = _omega_rows(v.values, vd.values, np.abs(v.values), upsilon,
                         window_half, v.fft_half)
-    return OmegaMatrix(omega, upsilon=upsilon)
+    return OmegaMatrix(omega)
 
 
 def _squeeze_rows(src_rows: np.ndarray, omega_rows: np.ndarray, lo: int,

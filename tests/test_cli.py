@@ -1,8 +1,14 @@
 """Command-line interface: subcommand flows and exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gaitcadence
 from gaitcadence.cli import main
 from gaitcadence.io import load_trace_csv, read_tfr_f64le
 
@@ -104,6 +110,14 @@ class TestRun:
                      "-o", str(tmp_path / "out"), "--config", str(cfg)])
         assert code == 1
 
+    def test_non_finite_lambda_is_config_error(self, synth_files, tmp_path):
+        _, csv_path, labels_path, _ = synth_files
+        out = tmp_path / "out"
+        code = main(["run", str(csv_path), str(labels_path), "-o", str(out),
+                     "--lambda", "nan"] + FAST_FLAGS)
+        assert code == 1
+        assert not (out / "cadence.csv").exists()
+
     def test_unknown_flag_is_usage_error(self):
         assert main(["run", "--frobnicate"]) == 1
 
@@ -148,3 +162,14 @@ class TestCompare:
 
     def test_version_flag(self):
         assert main(["--version"]) == 0
+
+
+def test_cli_import_loads_no_scipy_signal_or_integrate():
+    src = str(Path(gaitcadence.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, gaitcadence.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.signal', 'scipy.integrate'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"

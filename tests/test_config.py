@@ -1,5 +1,7 @@
 """Configuration defaults, file parsing, and derived parameters."""
 
+import math
+
 import pytest
 
 from gaitcadence.config import PipelineConfig, load_config, parse_config_file
@@ -89,7 +91,10 @@ class TestValidation:
         ("fft_pad", "12.5"),
         ("fft_pad", "999"),  # odd
         ("fs", -100.0),
-    ])
+    ] + [(field, value)
+         for field in ("window_span_s", "sigma", "gamma", "upsilon",
+                       "ridge_lambda", "band_lo_hz", "band_hi_hz", "fs")
+         for value in (math.nan, math.inf, -math.inf)])
     def test_rejects_bad_values(self, field, value):
         with pytest.raises(ConfigError):
             PipelineConfig(**{field: value}).validate()

@@ -8,7 +8,6 @@ import pytest
 from gaitcadence.errors import ParameterError
 from gaitcadence.pipeline import BoutAnalysis, extract_bout_ridge
 from gaitcadence.ridge import band_to_bins, cadence_from_ridge, ridge_dp
-from gaitcadence.signal import gaussian_window
 
 
 def path_objective(mag, bins, penalty):
@@ -25,8 +24,8 @@ def ridge_of(mag, fs=10.0, band_hz=None, penalty=1.0):
     fft_half = mag.shape[1] - 1
     lo, hi = band_to_bins(band_hz, fs, fft_half)
     analysis = BoutAnalysis(band_mag=mag[:, lo : hi + 1], band_bins=(lo, hi),
-                            fft_half=fft_half, window=gaussian_window(1, 0.15),
-                            hop=1, fs=fs, t0=0.0, n_frames=mag.shape[0])
+                            fft_half=fft_half, hop=1, fs=fs, t0=0.0,
+                            n_frames=mag.shape[0])
     return extract_bout_ridge(analysis, penalty)
 
 
@@ -129,8 +128,9 @@ class TestRidgeDP:
         assert obj == -math.inf
 
     def test_negative_penalty_rejected(self):
-        with pytest.raises(ParameterError):
-            ridge_dp(np.ones((2, 2)), penalty=-1.0)
+        for penalty in (-1.0, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                ridge_dp(np.ones((2, 2)), penalty=penalty)
 
 
 class TestExtractRidge:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
+from scipy.signal import lfilter
 
 from gaitcadence.errors import ModelValidationError, ParameterError
 from gaitcadence.signal import Signal, gaussian_window
@@ -64,6 +66,21 @@ class TestSynthesizeWalk:
         expected = 0.9 + 0.2 * (t[inside] - 1.0) / 20.0
         np.testing.assert_allclose(res.truth_if[inside], expected)
         assert np.all(np.isnan(res.truth_if[~inside]))
+
+    def test_linear_profile_bitwise_equal_to_cumulative_trapezoid(self):
+        shape = WaveShape([0.4, 0.8], [0.1, 0.9], 0.2).normalized()
+        if_profile = LinearProfile(0.9, 1.1)
+        amp_profile = LinearProfile(1.0, 1.5)
+        spec = single_bout_spec(shape, if_profile=if_profile,
+                                amp_profile=amp_profile, phase0=0.25)
+        res = synthesize_walk(spec, seed=4)
+        t = np.arange(spec.n_samples()) / spec.fs
+        inside = (t >= 1.0) & (t < 21.0)
+        tb = t[inside]
+        phase = 0.25 + cumulative_trapezoid(if_profile.sample(tb, 1.0, 21.0),
+                                            tb, initial=0.0)
+        expected = amp_profile.sample(tb, 1.0, 21.0) * shape.evaluate(phase)
+        assert res.clean.samples[inside].tobytes() == expected.tobytes()
 
     def test_phase_monotone_increasing(self):
         shape = WaveShape([0.4, 0.8], [0.1, 0.9], 0.2).normalized()
@@ -174,6 +191,19 @@ class TestAr1Noise:
         for rho in (0.0, 0.6, -0.4):
             x = ar1_noise(n, 2.0, rho, np.random.default_rng(52))
             assert np.std(x) == pytest.approx(2.0, rel=0.02)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("rho", [0.0, 0.6, -0.6, 0.99, -0.99])
+    @pytest.mark.parametrize("n", [1, 2, 5000])
+    def test_bitwise_equal_to_lfilter(self, n, rho, seed):
+        sd = 1.7
+        rng = np.random.default_rng(seed)
+        x = np.empty(n)
+        x[0] = rng.normal(0.0, sd)
+        x[1:] = rng.normal(0.0, sd * math.sqrt(1.0 - rho**2), size=n - 1)
+        expected = lfilter([1.0], [1.0, -rho], x)
+        got = ar1_noise(n, sd, rho, np.random.default_rng(seed))
+        assert got.tobytes() == expected.tobytes()
 
     def test_rho_out_of_range_rejected(self):
         with pytest.raises(ParameterError):

@@ -311,7 +311,7 @@ class TestSynchrosqueeze:
         rng = np.random.default_rng(17)
         vals = rng.normal(size=(3, 9)) + 1j * rng.normal(size=(3, 9))
         src = TFRGrid(vals, fs=10.0, fft_half=8)
-        om = OmegaMatrix(np.tile(np.arange(9.0), (3, 1)), upsilon=1e-9)
+        om = OmegaMatrix(np.tile(np.arange(9.0), (3, 1)))
         out = synchrosqueeze(src, om)
         np.testing.assert_allclose(out.values, vals)
 
@@ -322,7 +322,7 @@ class TestSynchrosqueeze:
         src = TFRGrid(vals, fs=10.0, fft_half=M)
         om_vals = rng.uniform(-4, M + 4, size=(5, M + 1))
         om_vals[rng.uniform(size=(5, M + 1)) < 0.3] = -np.inf
-        om = OmegaMatrix(om_vals, upsilon=1e-9)
+        om = OmegaMatrix(om_vals)
         out = synchrosqueeze(src, om)
         finite = np.isfinite(om_vals)
         target = np.rint(om_vals)
@@ -353,13 +353,13 @@ class TestSynchrosqueeze:
     def test_sentinel_contributes_nothing(self):
         vals = np.ones((1, 9), dtype=np.complex128)
         src = TFRGrid(vals, fs=10.0, fft_half=8)
-        om = OmegaMatrix(np.full((1, 9), -np.inf), upsilon=1e-9)
+        om = OmegaMatrix(np.full((1, 9), -np.inf))
         assert np.all(synchrosqueeze(src, om).values == 0.0)
 
     def test_out_of_range_discarded(self):
         vals = np.ones((1, 5), dtype=np.complex128)
         src = TFRGrid(vals, fs=10.0, fft_half=4)
-        om = OmegaMatrix(np.array([[  -3.0, 2.0, 9.0, 2.0, 4.0]]), upsilon=1e-9)
+        om = OmegaMatrix(np.array([[  -3.0, 2.0, 9.0, 2.0, 4.0]]))
         out = synchrosqueeze(src, om).values[0]
         assert out[2] == pytest.approx(2.0)  # two cells landed on bin 2
         assert out[4] == pytest.approx(1.0)
@@ -367,7 +367,7 @@ class TestSynchrosqueeze:
 
     def test_kind_propagation(self):
         vals = np.ones((1, 9), dtype=np.complex128)
-        om = OmegaMatrix(np.tile(np.arange(9.0), (1, 1)), upsilon=1e-9)
+        om = OmegaMatrix(np.tile(np.arange(9.0), (1, 1)))
         assert synchrosqueeze(
             TFRGrid(vals, fs=10.0, fft_half=8, kind="dsstft"), om).kind == "dssst"
         assert synchrosqueeze(
@@ -375,7 +375,7 @@ class TestSynchrosqueeze:
 
     def test_dimension_mismatch(self):
         src = TFRGrid(np.ones((2, 9), dtype=np.complex128), fs=10.0, fft_half=8)
-        om = OmegaMatrix(np.ones((2, 8)), upsilon=1e-9)
+        om = OmegaMatrix(np.ones((2, 8)))
         with pytest.raises(StructuralError):
             synchrosqueeze(src, om)
 
