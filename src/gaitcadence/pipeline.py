@@ -22,7 +22,8 @@ from .config import PipelineConfig, config_as_dict
 from .errors import CadenceError, DataFormatError, ParameterError
 from .io import (check_bout_spans, export_tfr, load_labels_csv,
                  load_triaxial_csv, write_summary_csv, write_trace_csv)
-from .ridge import CadenceTrace, band_to_bins, cadence_from_ridge, ridge_dp, RidgeCurve
+from .ridge import (CadenceTrace, RidgeCurve, band_to_bins, cadence_from_ridge,
+                    check_band, ridge_dp)
 from .signal import Signal, TriaxialRecord, gaussian_window, median_detrend, \
     rectify, vector_magnitude
 from .tfr import GRID_KINDS, KIND_DSSST, TFRGrid, dsst_blocks, frame_starts
@@ -86,7 +87,7 @@ def analyze_signal(sig: Signal, cfg: PipelineConfig,
         band_mag[rows] = mags[KIND_DSSST][:, lo_bin - c0 : hi_bin - c0 + 1]
         for kind in collect:
             grids[kind][rows] = mags[kind]
-        # Free this block's arrays before the kernel computes the next one.
+        # Free this block's arrays before the kernel starts another one.
         del mags
 
     return BoutAnalysis(band_mag=band_mag, band_bins=(lo_bin, hi_bin),
@@ -201,6 +202,7 @@ def run_pipeline(cfg: PipelineConfig, input_csv, labels_csv, outdir,
     outdir.mkdir(parents=True, exist_ok=True)
 
     rec = load_triaxial_csv(input_csv, fs_hint=cfg.fs, location=cfg.location)
+    check_band(cfg.band_hz, rec.fs)
     bouts = load_labels_csv(labels_csv)
     warnings = check_bout_spans(bouts, cfg.window_span_s)
     for msg in warnings:

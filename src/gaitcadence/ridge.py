@@ -110,13 +110,27 @@ def ridge_dp(mag: np.ndarray, penalty: float):
     return bins, objective, False
 
 
-def band_to_bins(band_hz, fs: float, fft_half: int) -> tuple[int, int]:
-    """Inclusive zero-based bin range covering a physical frequency band."""
-    if band_hz is None:
-        return 0, fft_half
+def check_band(band_hz, fs: float) -> tuple[float, float]:
+    """``band_hz`` as ``(lo_hz, hi_hz)``; raises ``ParameterError`` if the
+    band is inverted or reaches above the Nyquist frequency ``fs / 2``."""
     lo_hz, hi_hz = band_hz
     if hi_hz < lo_hz:
         raise ParameterError(f"band is inverted: {band_hz}")
+    if hi_hz > fs / 2.0:
+        raise ParameterError(
+            f"band {band_hz} Hz reaches above the Nyquist frequency "
+            f"{fs / 2.0:g} Hz")
+    return lo_hz, hi_hz
+
+
+def band_to_bins(band_hz, fs: float, fft_half: int) -> tuple[int, int]:
+    """Inclusive zero-based bin range covering a physical frequency band.
+
+    ``None`` is the whole axis; a band is checked by ``check_band``.
+    """
+    if band_hz is None:
+        return 0, fft_half
+    lo_hz, hi_hz = check_band(band_hz, fs)
     lo = max(0, math.ceil(lo_hz * 2.0 * fft_half / fs - 1e-9))
     hi = min(fft_half, math.floor(hi_hz * 2.0 * fft_half / fs + 1e-9))
     if lo > hi:

@@ -118,6 +118,15 @@ class TestRun:
         assert code == 1
         assert not (out / "cadence.csv").exists()
 
+    def test_band_above_nyquist_is_config_error(self, synth_files, tmp_path):
+        # The recording is sampled at 50 Hz: Nyquist is 25 Hz.
+        _, csv_path, labels_path, _ = synth_files
+        out = tmp_path / "out"
+        code = main(["run", str(csv_path), str(labels_path), "-o", str(out),
+                     "--band", "0.3:30"] + FAST_FLAGS)
+        assert code == 1
+        assert not (out / "cadence.csv").exists()
+
     def test_unknown_flag_is_usage_error(self):
         assert main(["run", "--frobnicate"]) == 1
 

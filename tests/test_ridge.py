@@ -164,6 +164,11 @@ class TestExtractRidge:
         # fs=10, 2M=20: bin spacing 0.5 Hz
         assert band_to_bins((1.0, 2.0), 10.0, 10) == (2, 4)
         assert band_to_bins(None, 10.0, 10) == (0, 10)
+        # the band may reach Nyquist (bin M) but not beyond it
+        assert band_to_bins((1.0, 5.0), 10.0, 10) == (2, 10)
+        for band in ((1.0, 5.01), (0.3, 1e300)):
+            with pytest.raises(ParameterError, match="Nyquist frequency 5 Hz"):
+                band_to_bins(band, 10.0, 10)
 
 
 class TestCadenceFromRidge:

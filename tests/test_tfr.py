@@ -1,8 +1,12 @@
 """Time-frequency transforms against direct-summation oracles."""
 
+import itertools
+import threading
+
 import numpy as np
 import pytest
 
+from gaitcadence import tfr
 from gaitcadence.config import PipelineConfig
 from gaitcadence.errors import ParameterError, StructuralError
 from gaitcadence.pipeline import analyze_signal
@@ -433,13 +437,17 @@ def full_grid_chain(sig, cfg):
             "dssst": synchrosqueeze(wgrid, omega), "omega": omega}
 
 
-def kernel_dssst(sig, cfg, cols):
-    """The kernel's dssst rows for the column range ``cols``, block by block."""
+def kernel_blocks(sig, cfg, cols=(20, 60), kinds=()):
+    """The kernel's generator over ``sig`` with the test configuration."""
     K = cfg.window_half(sig.fs)
     w = gaussian_window(K, cfg.sigma)
-    return [mags["dssst"] for _, mags in
-            dsst_blocks(sig, w, cfg.fft_half(K), cfg.hop, cfg.gamma,
-                        cfg.upsilon, cols)]
+    return dsst_blocks(sig, w, cfg.fft_half(K), cfg.hop, cfg.gamma,
+                       cfg.upsilon, cols, kinds=kinds)
+
+
+def kernel_dssst(sig, cfg, cols):
+    """The kernel's dssst rows for the column range ``cols``, block by block."""
+    return [mags["dssst"] for _, mags in kernel_blocks(sig, cfg, cols)]
 
 
 def small_config(hop):
@@ -449,7 +457,8 @@ def small_config(hop):
 class TestChunkedChain:
     @pytest.mark.parametrize("hop", [1, 3])
     def test_matches_full_grid_chain(self, hop):
-        # 1600 and 534 frames: both cross a 512-frame block boundary
+        # 1600 and 534 frames: both cross a block boundary and end in a
+        # partial block
         sig = walk_signal()
         cfg = small_config(hop)
         analysis = analyze_signal(sig, cfg, collect=GRID_KINDS)
@@ -476,18 +485,69 @@ class TestChunkedChain:
         assert np.any(got > 0)
 
     def test_block_with_no_cell_in_range_is_zero(self):
-        # Frames 512..1023 see only zeros, so no cell of block 2 is reassigned.
+        # Block 2's frames see only zeros, so none of its cells is reassigned.
+        C = tfr._CHUNK_FRAMES
         sig = walk_signal()
         cfg = small_config(1)
         K = cfg.window_half(sig.fs)
-        sig.samples[512 - K : 1024 + K] = 0.0
+        sig.samples[C - K : 2 * C + K] = 0.0
         chain = full_grid_chain(sig, cfg)
-        assert not np.any(chain["omega"].finite_mask[512:1024])
+        assert not np.any(chain["omega"].finite_mask[C : 2 * C])
         blocks = kernel_dssst(sig, cfg, (20, 60))
-        assert blocks[1].shape == (512, 41)
-        assert blocks[1].tobytes() == np.zeros((512, 41)).tobytes()
+        assert blocks[1].shape == (C, 41)
+        assert blocks[1].tobytes() == np.zeros((C, 41)).tobytes()
         full = chain["dssst"].magnitude()[:, 20:61]
         assert np.concatenate(blocks).tobytes() == np.ascontiguousarray(full).tobytes()
+
+    @pytest.mark.parametrize("hop", [1, 3])
+    def test_pool_size_does_not_change_rows(self, hop, monkeypatch):
+        # 1600 and 534 frames: the last block is partial either way.
+        sig = walk_signal()
+        cfg = small_config(hop)
+        n_frames = -(-1600 // hop)
+        assert n_frames % tfr._CHUNK_FRAMES != 0
+        runs = {}
+        for n_workers in (1, 2):
+            monkeypatch.setattr(tfr, "_pool_size", lambda: n_workers)
+            runs[n_workers] = list(kernel_blocks(sig, cfg, kinds=GRID_KINDS))
+        for blocks in runs.values():
+            stops = [0] + [rows.stop for rows, _ in blocks]
+            assert [rows.start for rows, _ in blocks] == stops[:-1]
+            assert stops[-1] == n_frames
+            assert all(mags["dssst"].shape[0] == rows.stop - rows.start
+                       for rows, mags in blocks)
+        assert len(runs[1]) == len(runs[2]) > 2
+        for (rows1, mags1), (rows2, mags2) in zip(runs[1], runs[2]):
+            assert rows1 == rows2
+            assert mags1.keys() == mags2.keys()
+            for kind in mags1:
+                assert mags1[kind].tobytes() == mags2[kind].tobytes(), kind
+
+    def test_closing_early_stops_the_pool(self, monkeypatch):
+        monkeypatch.setattr(tfr, "_pool_size", lambda: 2)
+        before = threading.active_count()
+        gen = kernel_blocks(walk_signal(), small_config(1))
+        rows, _ = next(gen)
+        assert rows == slice(0, tfr._CHUNK_FRAMES)
+        gen.close()
+        assert threading.active_count() == before
+
+    def test_error_in_a_block_propagates_and_stops_the_pool(self, monkeypatch):
+        monkeypatch.setattr(tfr, "_pool_size", lambda: 2)
+        calls = itertools.count()
+        dsst_rows = tfr._dsst_rows
+
+        def failing_second_block(*args, **kwargs):
+            if next(calls) == 1:
+                raise RuntimeError("block failed")
+            return dsst_rows(*args, **kwargs)
+
+        monkeypatch.setattr(tfr, "_dsst_rows", failing_second_block)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block failed"):
+            for _ in kernel_blocks(walk_signal(), small_config(1)):
+                pass
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("hop", [1, 3])
     def test_collecting_dssst_keeps_band_mag(self, hop):
