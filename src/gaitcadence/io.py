@@ -235,7 +235,7 @@ def export_tfr(tfr: TFRGrid, path, fmt: str = "csv"):
     path = Path(path)
     if fmt not in TFR_FORMATS:
         raise ParameterError(f"unknown TFR format {fmt!r}; expected {TFR_FORMATS}")
-    mag = tfr.magnitude().astype(np.float64)
+    mag = tfr.magnitude().astype(np.float64, copy=False)
     if fmt == "csv":
         with path.open("w", newline="") as fh:
             fh.write(f"# kind={tfr.kind} fs={_fmt(tfr.fs)} fft_half={tfr.fft_half} "

@@ -10,6 +10,9 @@ import numpy as np
 from .errors import ParameterError, StructuralError
 
 ZERO_FLOOR_FRACTION = 1e-12
+# Candidate cells per banded maximum (1 MB); a wider window is reduced a
+# few rows at a time.
+_CAND_CELLS = 1 << 17
 
 
 @dataclass
@@ -70,9 +73,15 @@ def ridge_dp(mag: np.ndarray, penalty: float):
     sums, resolve to the lowest bin front to back. Returns ``(bins,
     objective, degenerate)`` with ``bins`` local to the block columns.
 
-    O(T * B^2) time; intended for physically restricted bands (B up to a few
-    hundred bins). Besides the score block it keeps one suffix row and a
-    ``(T-1, B)`` successor-pointer array, one byte per cell for B <= 256.
+    The backward pass keeps only values: row ``t`` of the log-score block is
+    overwritten with the best sum from frame ``t`` on. A successor more than
+    ``W = floor(sqrt(range / penalty)) + 1`` bins away, where ``range`` is
+    the spread of the next row, trails ``b' = b`` by more than that spread,
+    so each maximum is taken over ``2W + 1`` successors only; rounding is
+    monotone, so it is the exact maximum. A forward pass recovers the path
+    from the full rows, with the same floats as a full comparison. O(T * B *
+    W) time; besides the score block it keeps O(B) rows and a bounded
+    candidate buffer, no pointer array and no B x B matrix.
     """
     mag = np.asarray(mag, dtype=np.float64)
     if mag.ndim != 2 or mag.size == 0:
@@ -85,27 +94,40 @@ def ridge_dp(mag: np.ndarray, penalty: float):
     if total <= 0:
         return np.zeros(T, dtype=np.int64), -math.inf, True
 
-    score = np.maximum(mag, ZERO_FLOOR_FRACTION * total)
+    zero_floor = ZERO_FLOOR_FRACTION * total
+    score = np.maximum(mag, zero_floor)
     np.log(score, out=score)
     score -= np.log(total)
 
-    offsets = np.arange(B, dtype=np.float64)
-    jump = penalty * (offsets[:, None] - offsets[None, :]) ** 2
-
-    # One backward pass; after[t, b] is the lowest of bin b's best next bins.
-    after = np.empty((T - 1, B), dtype=np.min_scalar_type(B - 1))
-    suffix = score[-1]
+    # jump[B - 1 + d] is the cost of moving d bins; padded[B - 1 + b] holds
+    # the next row's bin b, with B - 1 cells of -inf on each side, so
+    # shifted[B - 1 + d, b] is its bin b + d, or -inf off the band.
+    jump = penalty * np.arange(1 - B, B, dtype=np.float64) ** 2
+    padded = np.full(3 * B - 2, -np.inf)
+    shifted = np.lib.stride_tricks.sliding_window_view(padded, 2 * B - 1).T
     for t in range(T - 2, -1, -1):
-        cand = suffix[None, :] - jump
-        after[t] = np.argmax(cand, axis=1)
-        suffix = score[t] + cand[np.arange(B), after[t]]
+        nxt = score[t + 1]
+        if penalty == 0:
+            score[t] += nxt.max()
+            continue
+        spread = float(nxt.max() - nxt.min())
+        W = min(B - 1, math.floor(min(math.sqrt(spread / penalty), B)) + 1)
+        padded[B - 1 : 2 * B - 1] = nxt
+        near = slice(B - 1 - W, B + W)
+        step = max(1, _CAND_CELLS // (2 * W + 1))
+        for b in range(0, B, step):
+            score[t, b : b + step] += np.maximum.reduce(
+                shifted[near, b : b + step] - jump[near, None], axis=0)
 
     bins = np.empty(T, dtype=np.int64)
-    bins[0] = np.argmax(suffix)
+    bins[0] = np.argmax(score[0])
     for t in range(1, T):
-        bins[t] = after[t - 1, bins[t - 1]]
+        prev = bins[t - 1]
+        bins[t] = np.argmax(score[t] - jump[B - 1 - prev : 2 * B - 1 - prev])
 
-    objective = float(score[np.arange(T), bins].sum()
+    path = np.log(np.maximum(mag[np.arange(T), bins], zero_floor))
+    path -= np.log(total)
+    objective = float(path.sum()
                       - penalty * np.sum(np.diff(bins).astype(np.float64) ** 2))
     return bins, objective, False
 

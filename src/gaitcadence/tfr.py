@@ -3,9 +3,10 @@
 The frequency axis of every grid has ``M + 1`` bins; bin ``m`` (zero-based)
 maps to ``m * fs / (2M)`` Hz. Frames advance by ``hop`` samples, so frame
 ``n`` (zero-based) sits at time ``t0 + n * hop / fs``. All transforms are
-pure and frames are independent, so the kernel computes blocks of frames
-on a small thread pool itself: at most two blocks in flight, yielded in
-frame order.
+pure and frames are independent, so the kernel splits a signal's frames
+into an even number of near-equal blocks of at most 256 frames and
+computes them on a small thread pool itself: at most two blocks in flight,
+yielded in frame order.
 
 The de-shape synchrosqueezing chain lives here once: ``dsst_blocks`` runs
 STFT pair -> cepstral mask -> de-shaped STFT -> reassignment -> squeeze over
@@ -40,7 +41,7 @@ KIND_SST = "sst"
 KIND_DSSST = "dssst"
 GRID_KINDS = (KIND_STFT, KIND_STCT, KIND_ISTCT, KIND_DSSTFT, KIND_SST, KIND_DSSST)
 
-# Frames per block. A block's stage arrays are several frames x (M + 1)
+# Most frames per block. A block's stage arrays are several frames x (M + 1)
 # grids (a tracemalloc peak of 88 MB at 256 frames and M = 4096), and up to
 # _MAX_IN_FLIGHT blocks exist at once, so two 256-frame blocks peak near
 # one 512-frame block (175 MB against 173 MB).
@@ -219,11 +220,20 @@ def _istct_cells(ceps: np.ndarray, fft_half: int,
     given row-major flat cell indices."""
     valid, col_lo, _, weight = _istct_interp_table(fft_half)
     cols = cells % (fft_half + 1)
-    lo = cells + (col_lo[cols] - cols)  # flat index of (row, col_lo[col])
+    at = col_lo[cols]
+    at += cells
+    at -= cols  # flat index of (row, col_lo[col])
     w = weight[cols]
+    invalid = ~valid[cols]
+    del cols
     flat = ceps.ravel()
-    u = flat[lo] * (1.0 - w) + flat[lo - 1] * w  # col_hi is col_lo - 1
-    u[~valid[cols]] = 0.0
+    u = flat[at]
+    u *= 1.0 - w
+    at -= 1  # col_hi is col_lo - 1
+    upper = flat[at]
+    upper *= w
+    u += upper
+    u[invalid] = 0.0
     return u
 
 
@@ -296,19 +306,25 @@ def _squeeze_rows(src_rows: np.ndarray, omega_rows: np.ndarray, lo: int,
     equal.
     With ``ceps``, each gathered ``src`` value is multiplied by the istct
     mask of ``ceps`` at its cell, so ``W = V * mask`` is never built in full.
+    This is a block's memory peak, and two blocks reach it at about the same
+    time, so the cell-sized temporaries are updated in place and dropped
+    once used.
     """
     n_rows, n_cols = omega_rows.shape
     targets = np.rint(omega_rows).ravel()
     cells = np.flatnonzero((targets >= lo) & (targets <= hi))
     width = hi - lo + 1
     flat = (cells // n_cols) * width + (targets[cells].astype(np.int64) - lo)
+    del targets
     weights = src_rows.ravel()[cells]
     if ceps is not None:
-        weights = weights * _istct_cells(ceps, n_cols - 1, cells)
+        weights *= _istct_cells(ceps, n_cols - 1, cells)
+    del cells
     size = n_rows * width
     if np.iscomplexobj(weights):
-        out = (np.bincount(flat, weights=weights.real, minlength=size)
-               + 1j * np.bincount(flat, weights=weights.imag, minlength=size))
+        out = np.empty(size, dtype=np.complex128)
+        out.real = np.bincount(flat, weights=weights.real, minlength=size)
+        out.imag = np.bincount(flat, weights=weights.imag, minlength=size)
     else:
         out = np.bincount(flat, weights=weights, minlength=size)
     return out.reshape(n_rows, width)
@@ -362,9 +378,27 @@ def _pool_size() -> int:
     return min(_MAX_IN_FLIGHT, cores)
 
 
+def _frame_blocks(n: int) -> list[slice]:
+    """Split ``n`` frames into contiguous blocks of near-equal size.
+
+    The block count is ``ceil(n / _CHUNK_FRAMES)`` rounded up to a multiple
+    of ``_MAX_IN_FLIGHT`` (but at most ``n``), so no block exceeds
+    ``_CHUNK_FRAMES`` frames and a short signal still keeps every worker
+    busy. Sizes differ by at most one frame. The layout depends on ``n``
+    only, not on the usable cores.
+    """
+    k = -(-n // _CHUNK_FRAMES)
+    k = min(n, -(-k // _MAX_IN_FLIGHT) * _MAX_IN_FLIGHT)
+    return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
+
+
 def dsst_blocks(s: Signal, w: Window, fft_half: int, hop: int, gamma: float,
                 upsilon: float, cols, kinds=()):
-    """De-shape synchrosqueezing chain over blocks of ``_CHUNK_FRAMES`` frames.
+    """De-shape synchrosqueezing chain over balanced blocks of frames.
+
+    The frames are split by ``_frame_blocks``: an even number of contiguous
+    blocks of near-equal size, at most ``_CHUNK_FRAMES`` frames each, so a
+    bout shorter than two full blocks still gives each worker half of it.
 
     Per block: STFT pair ``V``, ``V'`` -> cepstrum of ``|V|^gamma`` ->
     reassignment rule from ``V'/V`` -> ``W = V * mask`` squeezed into the
@@ -385,17 +419,17 @@ def dsst_blocks(s: Signal, w: Window, fft_half: int, hop: int, gamma: float,
     """
     frames, starts = _frames(s.samples, w.K, hop)
 
-    def block(i):
-        framed = frames[starts[i : i + _CHUNK_FRAMES]]
+    def block(rows):
+        framed = frames[starts[rows]]
         v, vd = (_stft_rows(framed, taper, fft_half, 1) for taper in (w.h, w.dh))
-        return slice(i, i + framed.shape[0]), _dsst_rows(
-            v, vd, w.K, fft_half, gamma, upsilon, cols, kinds)
+        return rows, _dsst_rows(v, vd, w.K, fft_half, gamma, upsilon, cols,
+                                kinds)
 
     n_workers = _pool_size()
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         pending = deque()
-        for i in range(0, starts.size, _CHUNK_FRAMES):
-            pending.append(pool.submit(block, i))
+        for rows in _frame_blocks(starts.size):
+            pending.append(pool.submit(block, rows))
             if len(pending) == n_workers:
                 yield pending.popleft().result()
         while pending:

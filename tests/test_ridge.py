@@ -1,9 +1,12 @@
 """Ridge extraction against exhaustive path enumeration."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaitcadence.errors import ParameterError
 from gaitcadence.pipeline import BoutAnalysis, extract_bout_ridge
@@ -27,6 +30,48 @@ def ridge_of(mag, fs=10.0, band_hz=None, penalty=1.0):
                             fft_half=fft_half, hop=1, fs=fs, t0=0.0,
                             n_frames=mag.shape[0])
     return extract_bout_ridge(analysis, penalty)
+
+
+def pointer_dp(mag, penalty):
+    """Full-width backward pass with successor pointers: every bin compares
+    all B successors through a B x B jump matrix. ``ridge_dp`` must match
+    this reference bit for bit."""
+    T, B = mag.shape
+    total = mag.sum()
+    score = np.maximum(mag, 1e-12 * total)
+    np.log(score, out=score)
+    score -= np.log(total)
+    offsets = np.arange(B, dtype=np.float64)
+    jump = penalty * (offsets[:, None] - offsets[None, :]) ** 2
+    after = np.empty((T - 1, B), dtype=np.int64)
+    suffix = score[-1]
+    for t in range(T - 2, -1, -1):
+        cand = suffix[None, :] - jump
+        after[t] = np.argmax(cand, axis=1)
+        suffix = score[t] + cand[np.arange(B), after[t]]
+    bins = np.empty(T, dtype=np.int64)
+    bins[0] = np.argmax(suffix)
+    for t in range(1, T):
+        bins[t] = after[t - 1, bins[t - 1]]
+    objective = float(score[np.arange(T), bins].sum()
+                      - penalty * np.sum(np.diff(bins).astype(np.float64) ** 2))
+    return bins, objective
+
+
+@st.composite
+def ridge_blocks(draw):
+    """Random magnitude blocks; some have one column far above the rest.
+
+    Short narrow blocks are drawn often: there a single frame's gain is a
+    large share of a row's spread, so the best paths jump far.
+    """
+    T = draw(st.integers(1, 60) | st.integers(1, 4))
+    B = draw(st.integers(1, 300) | st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mag = rng.uniform(0.0, 1.0, size=(T, B)) ** draw(st.sampled_from([1, 4, 16]))
+    if draw(st.booleans()):
+        mag[:, draw(st.integers(0, B - 1))] += draw(st.sampled_from([10.0, 1e6]))
+    return mag
 
 
 def brute_force_best(mag, penalty):
@@ -94,6 +139,29 @@ class TestRidgeDP:
                 _, obj, _ = ridge_dp(tied, penalty)
                 _, ref_obj = brute_force_best(tied, penalty)
                 assert obj == pytest.approx(ref_obj, rel=1e-12, abs=1e-12)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(ridge_blocks(), st.sampled_from([0.0, 1e-3, 0.1, 1.0, 10.0, 1e6]))
+    def test_matches_pointer_dp_bitwise(self, mag, penalty):
+        bins, obj, degenerate = ridge_dp(mag, penalty)
+        ref_bins, ref_obj = pointer_dp(mag, penalty)
+        assert not degenerate
+        np.testing.assert_array_equal(bins, ref_bins)
+        assert obj == ref_obj
+
+    @pytest.mark.parametrize("penalty", [1.0, 1e-6])
+    def test_whole_axis_block_memory_is_bounded(self, penalty):
+        # band=None at M = 4096: B = 4097; a B x B float64 matrix is 134 MB.
+        # At penalty 1e-6 the window spans most of the axis, so each
+        # maximum is taken a few columns at a time.
+        mag = np.random.default_rng(25).uniform(0.0, 1.0, size=(4, 4097))
+        tracemalloc.start()
+        try:
+            ridge_dp(mag, penalty)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     def test_tie_break_toward_lower_bin(self):
         # all-equal magnitudes: every constant path ties; lowest bin wins

@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaitcadence import tfr
 from gaitcadence.config import PipelineConfig
@@ -454,11 +456,47 @@ def small_config(hop):
     return PipelineConfig(window_span_s=4.0, hop=hop, fs=None).validate()
 
 
+class TestFrameBlocks:
+    @settings(derandomize=True, deadline=None)
+    @given(st.integers(0, 20 * tfr._CHUNK_FRAMES))
+    def test_blocks_cover_frames_evenly(self, n):
+        blocks = tfr._frame_blocks(n)
+        stops = [0] + [rows.stop for rows in blocks]
+        assert [rows.start for rows in blocks] == stops[:-1]
+        assert stops[-1] == n
+        sizes = [rows.stop - rows.start for rows in blocks]
+        assert all(1 <= size <= tfr._CHUNK_FRAMES for size in sizes)
+        if sizes:
+            assert max(sizes) - min(sizes) <= 1
+        if n >= 2:
+            assert len(blocks) % tfr._MAX_IN_FLIGHT == 0
+
+    @pytest.mark.parametrize("n, sizes", [
+        (1, [1]), (255, [127, 128]), (360, [180, 180]), (6000, [250] * 24)])
+    def test_known_layouts(self, n, sizes):
+        assert [rows.stop - rows.start for rows in tfr._frame_blocks(n)] == sizes
+
+    @pytest.mark.parametrize("n_frames", [100, 1600])
+    def test_layout_does_not_depend_on_pool_size(self, n_frames, monkeypatch):
+        sig = walk_signal(n=n_frames)
+        layouts = {}
+        for n_workers in (1, 2):
+            monkeypatch.setattr(tfr, "_pool_size", lambda: n_workers)
+            layouts[n_workers] = [rows for rows, _ in
+                                  kernel_blocks(sig, small_config(1))]
+        assert layouts[1] == layouts[2] == tfr._frame_blocks(n_frames)
+
+    def test_short_bout_yields_two_blocks(self):
+        n = tfr._CHUNK_FRAMES - 56
+        rows = [rows for rows, _ in kernel_blocks(walk_signal(n=n),
+                                                  small_config(1))]
+        assert rows == [slice(0, n // 2), slice(n // 2, n)]
+
+
 class TestChunkedChain:
     @pytest.mark.parametrize("hop", [1, 3])
     def test_matches_full_grid_chain(self, hop):
-        # 1600 and 534 frames: both cross a block boundary and end in a
-        # partial block
+        # 1600 and 534 frames: eight blocks of 200 and four of 133 or 134
         sig = walk_signal()
         cfg = small_config(hop)
         analysis = analyze_signal(sig, cfg, collect=GRID_KINDS)
@@ -486,22 +524,23 @@ class TestChunkedChain:
 
     def test_block_with_no_cell_in_range_is_zero(self):
         # Block 2's frames see only zeros, so none of its cells is reassigned.
-        C = tfr._CHUNK_FRAMES
         sig = walk_signal()
         cfg = small_config(1)
         K = cfg.window_half(sig.fs)
-        sig.samples[C - K : 2 * C + K] = 0.0
+        second = tfr._frame_blocks(len(sig))[1]
+        a, b = second.start, second.stop
+        sig.samples[a - K : b + K] = 0.0
         chain = full_grid_chain(sig, cfg)
-        assert not np.any(chain["omega"].finite_mask[C : 2 * C])
+        assert not np.any(chain["omega"].finite_mask[a:b])
         blocks = kernel_dssst(sig, cfg, (20, 60))
-        assert blocks[1].shape == (C, 41)
-        assert blocks[1].tobytes() == np.zeros((C, 41)).tobytes()
+        assert blocks[1].shape == (b - a, 41)
+        assert blocks[1].tobytes() == np.zeros((b - a, 41)).tobytes()
         full = chain["dssst"].magnitude()[:, 20:61]
         assert np.concatenate(blocks).tobytes() == np.ascontiguousarray(full).tobytes()
 
     @pytest.mark.parametrize("hop", [1, 3])
     def test_pool_size_does_not_change_rows(self, hop, monkeypatch):
-        # 1600 and 534 frames: the last block is partial either way.
+        # 1600 and 534 frames: more blocks than workers either way.
         sig = walk_signal()
         cfg = small_config(hop)
         n_frames = -(-1600 // hop)
@@ -526,9 +565,10 @@ class TestChunkedChain:
     def test_closing_early_stops_the_pool(self, monkeypatch):
         monkeypatch.setattr(tfr, "_pool_size", lambda: 2)
         before = threading.active_count()
-        gen = kernel_blocks(walk_signal(), small_config(1))
+        sig = walk_signal()
+        gen = kernel_blocks(sig, small_config(1))
         rows, _ = next(gen)
-        assert rows == slice(0, tfr._CHUNK_FRAMES)
+        assert rows == tfr._frame_blocks(len(sig))[0]
         gen.close()
         assert threading.active_count() == before
 
