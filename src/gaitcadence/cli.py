@@ -17,8 +17,8 @@ from .errors import CadenceError, ConfigError, DataFormatError, ParameterError
 from .io import (export_tfr, load_labels_csv, load_trace_csv, load_triaxial_csv,
                  write_bland_altman_csv, write_labels_csv, write_triaxial_csv,
                  TFR_FORMATS)
-from .pipeline import (analyze_signal, analysis_grid, preprocess, run_pipeline,
-                       slice_record)
+from .pipeline import (analyze_signal, analysis_grid, check_window, preprocess,
+                       run_pipeline, slice_record)
 from .signal import TriaxialRecord, VALID_LOCATIONS
 from .synth import (BoutModel, ConstantProfile, LinearProfile, WalkingModelSpec,
                     WaveShape, ar1_sd_for_snr, synthesize_walk)
@@ -241,6 +241,7 @@ def tfr_cmd(input_csv, kind, fmt, out, start, end, config_path, band, **kw):
     """
     cfg = _build_config(config_path, band, **kw)
     rec = load_triaxial_csv(input_csv, fs_hint=cfg.fs, location=cfg.location)
+    check_window(cfg, rec)
     sliced, t0 = slice_record(rec, start, end)
     sig = preprocess(sliced, t0=t0)
     analysis = analyze_signal(sig, cfg, collect=(kind,))

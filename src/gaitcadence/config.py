@@ -63,7 +63,11 @@ class PipelineConfig:
 
     def window_half(self, fs: float) -> int:
         """Window half-length K; the window spans ``2K + 1`` samples."""
-        K = int(round(self.window_span_s * fs / 2.0))
+        half = self.window_span_s * fs / 2.0
+        if not math.isfinite(half):
+            raise ConfigError(
+                f"window_span_s={self.window_span_s} at fs={fs} overflows")
+        K = int(round(half))
         if K < 1:
             raise ConfigError(
                 f"window_span_s={self.window_span_s} at fs={fs} yields a window "

@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import BoutInterval, bout_cadence_summary
 from .config import PipelineConfig, config_as_dict
-from .errors import CadenceError, DataFormatError, ParameterError
+from .errors import CadenceError, ConfigError, DataFormatError, ParameterError
 from .io import (check_bout_spans, export_tfr, load_labels_csv,
                  load_triaxial_csv, write_summary_csv, write_trace_csv)
 from .ridge import (CadenceTrace, RidgeCurve, band_to_bins, cadence_from_ridge,
@@ -154,6 +154,21 @@ def _sample_range(rec: TriaxialRecord, start_s, end_s) -> tuple[int, int]:
     return i0, i1
 
 
+def check_window(cfg: PipelineConfig, rec: TriaxialRecord) -> None:
+    """Reject, as ``ConfigError``, an analysis window that ``rec`` cannot fit.
+
+    Resolves the window half-length and the DFT size once, so a window
+    shorter than 3 samples or longer than ``fft_pad`` fails here, and
+    rejects a window spanning more samples than the whole recording.
+    """
+    K = cfg.window_half(rec.fs)
+    cfg.fft_half(K)
+    if 2 * K + 1 > len(rec):
+        raise ConfigError(
+            f"window_span_s={cfg.window_span_s} spans {2 * K + 1} samples, "
+            f"more than the {len(rec)}-sample recording")
+
+
 def slice_record(rec: TriaxialRecord, start_s=None,
                  end_s=None) -> tuple[TriaxialRecord, float]:
     """Samples of ``rec`` from ``start_s`` to ``end_s`` seconds.
@@ -203,6 +218,7 @@ def run_pipeline(cfg: PipelineConfig, input_csv, labels_csv, outdir,
 
     rec = load_triaxial_csv(input_csv, fs_hint=cfg.fs, location=cfg.location)
     check_band(cfg.band_hz, rec.fs)
+    check_window(cfg, rec)
     bouts = load_labels_csv(labels_csv)
     warnings = check_bout_spans(bouts, cfg.window_span_s)
     for msg in warnings:

@@ -127,6 +127,22 @@ class TestRun:
         assert code == 1
         assert not (out / "cadence.csv").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--fft-pad", "64"],  # shorter than the 601-sample window
+        ["--window-span-s", "0.001"],  # under 3 samples
+        ["--window-span-s", "1e300"],  # too many samples to allocate
+        ["--window-span-s", "1e308"],  # span x fs overflows to inf
+        ["--window-span-s", "100"],  # longer than the 28 s recording
+    ])
+    def test_window_that_cannot_fit_is_config_error(self, synth_files,
+                                                    tmp_path, flags):
+        _, csv_path, labels_path, _ = synth_files
+        out = tmp_path / "out"
+        code = main(["run", str(csv_path), str(labels_path), "-o", str(out)]
+                    + flags)
+        assert code == 1
+        assert not (out / "cadence.csv").exists()
+
     def test_unknown_flag_is_usage_error(self):
         assert main(["run", "--frobnicate"]) == 1
 
@@ -143,6 +159,16 @@ class TestTfrCommand:
         assert meta["kind"] == "dssst"
         assert meta["hop"] == 10
         assert mat.shape[0] == meta["n_frames"]
+
+    @pytest.mark.parametrize("span", ["1e300", "100"])
+    def test_window_longer_than_recording_is_config_error(self, synth_files,
+                                                          tmp_path, span):
+        _, csv_path, _, _ = synth_files
+        out = tmp_path / "x.csv"
+        code = main(["tfr", str(csv_path), "-o", str(out),
+                     "--window-span-s", span])
+        assert code == 1
+        assert not out.exists()
 
     def test_empty_range_is_data_error(self, synth_files, tmp_path):
         _, csv_path, _, _ = synth_files
@@ -173,12 +199,35 @@ class TestCompare:
         assert main(["--version"]) == 0
 
 
-def test_cli_import_loads_no_scipy_signal_or_integrate():
+def _src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
     src = str(Path(gaitcadence.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_cli_import_loads_no_scipy():
     code = ("import sys, gaitcadence.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.signal', 'scipy.integrate'))))")
+            "if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": path})
+                         text=True, check=True, env=_src_env())
     assert out.stdout.strip() == "[]"
+
+
+def test_run_and_tfr_work_without_scipy(synth_files, tmp_path):
+    # Any import of scipy in the child raises ImportError.
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from gaitcadence.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))")
+    _, csv_path, labels_path, _ = synth_files
+    commands = [
+        ["run", str(csv_path), str(labels_path), "-o", str(tmp_path / "out")],
+        ["tfr", str(csv_path), "--kind", "stct", "--format", "f64le",
+         "-o", str(tmp_path / "stct.f64le"), "--hop", "10"],
+    ]
+    for args in commands:
+        proc = subprocess.run([sys.executable, "-c", code, *args, *FAST_FLAGS],
+                              capture_output=True, text=True, env=_src_env())
+        assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "cadence.csv").exists()
+    assert (tmp_path / "stct.f64le").exists()

@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -167,6 +168,43 @@ class TestStct:
         v = TFRGrid(np.zeros((1, 9), dtype=np.complex128), fs=10.0, fft_half=8)
         with pytest.raises(ParameterError):
             stct(v, 0.0)
+
+
+class TestScipyReference:
+    """The numpy.fft helpers against the scipy.fft calls they replace.
+
+    The run's outputs are pinned to the bit, so equality here is exact.
+    """
+
+    @staticmethod
+    def assert_bitwise_equal(out, ref):
+        assert out.shape == ref.shape and out.dtype == ref.dtype
+        assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("gamma", [0.3, 1.0])
+    @pytest.mark.parametrize("n_rows", [1, 15, 16, 17, 250])
+    @pytest.mark.parametrize("width", [2, 3, 17, 4097])
+    def test_stct_rows_equal_dct_type_1(self, width, n_rows, gamma):
+        # Row counts straddle the cepstrum's sub-block of tfr._STCT_ROWS.
+        rng = np.random.default_rng(width * 1000 + n_rows)
+        mag = np.abs(rng.standard_normal((n_rows, width)))
+        mag *= np.exp(rng.uniform(-20.0, 5.0, size=(n_rows, 1)))
+        if n_rows > 1:
+            mag[n_rows // 2] = 0.0  # an all-zero row among nonzero ones
+        ref = np.maximum(scipy.fft.dct(mag**gamma, type=1, axis=1), 0.0)
+        self.assert_bitwise_equal(tfr._stct_rows(mag, gamma), ref)
+
+    @pytest.mark.parametrize("K, M", [(4, 5), (8, 32), (30, 128), (50, 1009),
+                                      (200, 1024)])
+    @pytest.mark.parametrize("n_rows", [1, 17, 250])
+    def test_stft_rows_equal_scipy_rfft(self, K, M, n_rows):
+        # 2M = 10 leaves one padding column; 2M = 2018 has a large prime factor.
+        rng = np.random.default_rng(M + n_rows)
+        frames = rng.standard_normal((n_rows, 2 * K + 1))
+        w = gaussian_window(K, 0.15)
+        for taper in (w.h, w.dh):
+            ref = scipy.fft.rfft(frames * taper, n=2 * M, axis=1)
+            self.assert_bitwise_equal(tfr._stft_rows(frames, taper, M), ref)
 
 
 class TestIstct:
