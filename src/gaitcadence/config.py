@@ -26,7 +26,7 @@ class PipelineConfig:
     band_hi_hz: float = 2.5
     hop: int = 1
     fft_pad: str = "auto"  # "auto" or an explicit even DFT length (2M)
-    fs: float | None = None  # override / required when the CSV has no t column
+    fs: float | None = None  # Hz, read only when the CSV has no t column
     location: str = "other"
 
     def validate(self) -> "PipelineConfig":

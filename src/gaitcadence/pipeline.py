@@ -1,10 +1,9 @@
-"""End-to-end orchestration: preprocessing, streaming dsSST, ridge, exports.
+"""End-to-end orchestration: preprocessing, dsSST, ridge, exports.
 
 Each bout is analyzed on its own slice of samples, so one bout's data can
 never influence another bout's outputs. The transform chain itself is
-``tfr.dsst_blocks``; this module keeps only what the run needs from each
-block: the squeezed magnitudes in the search band, plus any requested full
-grids. The kernel squeezes only the columns those read.
+``tfr.dsst``, which returns only what the run reads: the squeezed
+magnitudes in the search band, plus any requested full grids.
 """
 
 from __future__ import annotations
@@ -26,14 +25,14 @@ from .ridge import (CadenceTrace, RidgeCurve, band_to_bins, cadence_from_ridge,
                     check_band, ridge_dp)
 from .signal import Signal, TriaxialRecord, gaussian_window, median_detrend, \
     rectify, vector_magnitude
-from .tfr import GRID_KINDS, KIND_DSSST, TFRGrid, dsst_blocks, frame_starts
+from .tfr import GRID_KINDS, TFRGrid, dsst
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass
 class BoutAnalysis:
-    """Streaming analysis result for one signal slice."""
+    """Analysis result for one signal slice."""
 
     band_mag: np.ndarray  # |SW| restricted to the search band, frames x bins
     band_bins: tuple[int, int]
@@ -58,8 +57,8 @@ def analyze_signal(sig: Signal, cfg: PipelineConfig,
 
     The squeezed magnitudes in ``cfg.band_hz`` are always kept as
     ``band_mag``. ``collect`` names grid kinds ("stft", "stct", "istct-mask",
-    "dsstft", "sst", "dssst") whose full magnitude matrices should be kept;
-    anything not requested is discarded chunk by chunk to bound memory. An
+    "dsstft", "sst", "dssst") whose full magnitude matrices should be kept,
+    each ``n_frames x (M + 1)`` floats; no other full grid is built. An
     unknown kind raises ``ParameterError``.
     """
     collect = set(collect)
@@ -67,32 +66,14 @@ def analyze_signal(sig: Signal, cfg: PipelineConfig,
     if unknown:
         raise ParameterError(
             f"unknown grid kinds {sorted(unknown)}; expected {GRID_KINDS}")
-    fs = sig.fs
-    K = cfg.window_half(fs)
-    w = gaussian_window(K, cfg.sigma)
+    K = cfg.window_half(sig.fs)
     M = cfg.fft_half(K)
-    hop = cfg.hop
-    n_frames = frame_starts(len(sig), hop).size
-    lo_bin, hi_bin = band_to_bins(cfg.band_hz, fs, M)
-
-    # Squeeze only the columns something reads: the whole axis when the
-    # dssst grid is kept, else the search band.
-    c0, c1 = (0, M) if KIND_DSSST in collect else (lo_bin, hi_bin)
-
-    grids = {kind: np.empty((n_frames, M + 1)) for kind in collect}
-    band_mag = np.empty((n_frames, hi_bin - lo_bin + 1))
-
-    for rows, mags in dsst_blocks(sig, w, M, hop, cfg.gamma, cfg.upsilon,
-                                  (c0, c1), kinds=collect):
-        band_mag[rows] = mags[KIND_DSSST][:, lo_bin - c0 : hi_bin - c0 + 1]
-        for kind in collect:
-            grids[kind][rows] = mags[kind]
-        # Free this block's arrays before the kernel starts another one.
-        del mags
-
-    return BoutAnalysis(band_mag=band_mag, band_bins=(lo_bin, hi_bin),
-                        fft_half=M, hop=hop, fs=fs, t0=sig.t0,
-                        n_frames=n_frames, grids=grids)
+    band = band_to_bins(cfg.band_hz, sig.fs, M)
+    band_mag, grids = dsst(sig, gaussian_window(K, cfg.sigma), M, cfg.hop,
+                           cfg.gamma, cfg.upsilon, band, kinds=collect)
+    return BoutAnalysis(band_mag=band_mag, band_bins=band, fft_half=M,
+                        hop=cfg.hop, fs=sig.fs, t0=sig.t0,
+                        n_frames=band_mag.shape[0], grids=grids)
 
 
 def extract_bout_ridge(analysis: BoutAnalysis, penalty: float) -> RidgeCurve:
@@ -213,6 +194,7 @@ def run_pipeline(cfg: PipelineConfig, input_csv, labels_csv, outdir,
     reported and skipped; the remaining bouts still run.
     """
     t_start = time.perf_counter()
+    export_kinds = tuple(dict.fromkeys(export_kinds))
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -231,15 +213,16 @@ def run_pipeline(cfg: PipelineConfig, input_csv, labels_csv, outdir,
 
     for idx, bout in enumerate(bouts, start=1):
         t_bout = time.perf_counter()
+        # A bout that misses the recording altogether fails below instead.
+        i0, i1 = _sample_range(rec, bout.start_s, bout.end_s)
+        if i0 < len(rec) and i1 > 0 and (i0 < 0 or i1 > len(rec)):
+            msg = (f"bout {idx} [{bout.start_s}, {bout.end_s}] runs past "
+                   f"the {len(rec) / rec.fs:g} s recording; clipped to it")
+            logger.warning("%s", msg)
+            warnings.append(msg)
         try:
             analysis, ridge, trace = analyze_bout(rec, bout, cfg,
                                                   collect=export_kinds)
-            i0, i1 = _sample_range(rec, bout.start_s, bout.end_s)
-            if i0 < 0 or i1 > len(rec):
-                msg = (f"bout {idx} [{bout.start_s}, {bout.end_s}] runs past "
-                       f"the {len(rec) / rec.fs:g} s recording; clipped to it")
-                logger.warning("%s", msg)
-                warnings.append(msg)
             traces.append(trace)
             labels_per_frame.append(np.full(len(trace), bout.label, dtype=int))
             for kind in export_kinds:

@@ -5,28 +5,27 @@ maps to ``m * fs / (2M)`` Hz. Frames advance by ``hop`` samples, so frame
 ``n`` (zero-based) sits at time ``t0 + n * hop / fs``. All transforms are
 pure and frames are independent, so the kernel splits a signal's frames
 into an even number of near-equal blocks of at most 256 frames and
-computes them on a small thread pool itself: at most two blocks in flight,
-yielded in frame order.
+computes them on a small thread pool itself, each block writing its own
+rows of the outputs, in whatever order the blocks finish.
 
 Both transforms are ``numpy.fft.rfft``: the STFT of each tapered,
 zero-padded frame, and the short-time cepstrum, the rfft of the even
 extension of each row of ``|V|^gamma`` (a type-I DCT of the row).
 
-The de-shape synchrosqueezing chain lives here once: ``dsst_blocks`` runs
+The de-shape synchrosqueezing chain lives here once: ``dsst`` runs
 STFT pair -> cepstral mask -> de-shaped STFT -> reassignment -> squeeze over
-blocks of frames, and the pipeline consumes it. It squeezes only a given
-range of output columns (the pipeline's search band), and de-shapes
-only the cells that land there; the full de-shaped STFT is never
-built unless asked for. The full-grid stage functions
-(``stft``, ``stct``, ``istct``, ``deshape``, ``reassignment_operator``,
-``synchrosqueeze``) apply the same row helpers to a whole grid and serve as
-the reference the chunked chain is tested against.
+blocks of frames, and the pipeline calls it. It squeezes only the output
+columns something reads (the pipeline's search band, or every column when
+the dssst grid is kept), and de-shapes only the cells that land there; the
+full de-shaped STFT is never built unless asked for. The full-grid stage
+functions (``stft``, ``stct``, ``istct``, ``deshape``,
+``reassignment_operator``, ``synchrosqueeze``) apply the same row helpers
+to a whole grid and serve as the reference the kernel is tested against.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -49,8 +48,9 @@ GRID_KINDS = (KIND_STFT, KIND_STCT, KIND_ISTCT, KIND_DSSTFT, KIND_SST, KIND_DSSS
 # _MAX_IN_FLIGHT blocks exist at once, so two 256-frame blocks peak like
 # one 512-frame block (175 MB each).
 _CHUNK_FRAMES = 256
-# Blocks computed at once. Each holds its own stage arrays, so the kernel's
-# memory grows linearly with this cap.
+# Most worker threads, hence most blocks computed at once. Each block holds
+# its own stage arrays, so the kernel's memory beyond its outputs grows
+# linearly with this cap.
 _MAX_IN_FLIGHT = 2
 # Rows per cepstrum sub-block. Sixteen rows' even extensions (2M floats
 # each, 1 MB at M = 4096) stay in cache between the mirror and the rfft;
@@ -119,22 +119,16 @@ class OmegaMatrix:
         return np.isfinite(self.values)
 
 
-def frame_starts(n_samples: int, hop: int) -> np.ndarray:
-    """Zero-based sample index of each analysis frame."""
+def _frames(x: np.ndarray, K: int, hop: int) -> np.ndarray:
+    """Analysis frames of ``x`` zero-extended by ``K`` samples on each side.
+
+    Returns a ``(ceil(n_samples / hop), 2K + 1)`` strided view whose row
+    ``n`` holds samples ``n*hop - K .. n*hop + K``.
+    """
     if hop < 1:
         raise ParameterError(f"hop must be >= 1, got {hop}")
-    return np.arange(0, n_samples, hop)
-
-
-def _frames(x: np.ndarray, K: int, hop: int):
-    """Frames of ``x`` zero-extended by ``K`` samples on each side.
-
-    Returns a ``(n_samples, 2K + 1)`` sliding view and the zero-based start
-    of each analysis frame, one every ``hop`` samples.
-    """
     padded = np.concatenate([np.zeros(K), x, np.zeros(K)])
-    return (np.lib.stride_tricks.sliding_window_view(padded, 2 * K + 1),
-            frame_starts(x.size, hop))
+    return np.lib.stride_tricks.sliding_window_view(padded, 2 * K + 1)[::hop]
 
 
 def _stft_rows(frames: np.ndarray, taper: np.ndarray,
@@ -164,8 +158,8 @@ def stft(s: Signal, w: Window, fft_half: int, hop: int = 1,
             f"DFT length {2 * fft_half} shorter than window span {w.span}"
         )
     taper = w.dh if derivative else w.h
-    frames, starts = _frames(s.samples, w.K, hop)
-    return TFRGrid(_stft_rows(frames[starts], taper, fft_half), fs=s.fs,
+    frames = _frames(s.samples, w.K, hop)
+    return TFRGrid(_stft_rows(frames, taper, fft_half), fs=s.fs,
                    fft_half=fft_half, hop=hop, kind=KIND_STFT, t0=s.t0)
 
 
@@ -412,45 +406,44 @@ def _frame_blocks(n: int) -> list[slice]:
     return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
 
 
-def dsst_blocks(s: Signal, w: Window, fft_half: int, hop: int, gamma: float,
-                upsilon: float, cols, kinds=()):
+def dsst(s: Signal, w: Window, fft_half: int, hop: int, gamma: float,
+         upsilon: float, band, kinds=()):
     """De-shape synchrosqueezing chain over balanced blocks of frames.
+
+    Returns ``(band_mag, grids)``. ``band_mag`` is ``(n_frames, hi - lo + 1)``:
+    the squeezed magnitudes in the inclusive column range ``band = (lo, hi)``,
+    equal to those columns of a full squeeze. ``grids`` maps each grid kind
+    named in ``kinds`` to its full ``(n_frames, fft_half + 1)`` magnitudes.
 
     The frames are split by ``_frame_blocks``: an even number of contiguous
     blocks of near-equal size, at most ``_CHUNK_FRAMES`` frames each, so a
     bout shorter than two full blocks still gives each worker half of it.
-
     Per block: STFT pair ``V``, ``V'`` -> cepstrum of ``|V|^gamma`` ->
     reassignment rule from ``V'/V`` -> ``W = V * mask`` squeezed into the
-    inclusive column range ``cols = (lo, hi)``, de-shaping only the cells
-    that land there. Yields ``(rows, mags)``: the block's slice of the frame
-    axis and the block's magnitude rows keyed by grid kind. The stft and
-    stct rows are always present and full width, since the chain computes
-    them anyway; the dssst rows are always present and hold columns
-    ``lo..hi`` only, equal to those columns of a full squeeze. The
-    istct-mask, dsstft and sst rows are full width and present only when
-    named in ``kinds``, since each costs work the squeeze skips.
+    band, or into every column when the dssst grid is requested,
+    de-shaping only the cells that land there.
 
-    Blocks are computed on a thread pool, one core each, with at most
-    ``_MAX_IN_FLIGHT`` (and no more than the usable cores) submitted and not
-    yet yielded; they are yielded in frame order, and each row is bitwise
-    equal to a serial computation. Closing the generator early, or an error
-    in a block, shuts the pool down before control returns.
+    Blocks run on a thread pool of ``_pool_size()`` workers, one core each,
+    and each writes its own rows of the outputs, so the blocks may finish in
+    any order and every row is bitwise equal to a serial computation. An
+    error in a block is raised here, after the pool has shut down.
     """
-    frames, starts = _frames(s.samples, w.K, hop)
+    frames = _frames(s.samples, w.K, hop)
+    n = frames.shape[0]
+    lo, hi = band
+    cols = (0, fft_half) if KIND_DSSST in kinds else band
+    band_mag = np.empty((n, hi - lo + 1))
+    grids = {kind: np.empty((n, fft_half + 1)) for kind in kinds}
 
     def block(rows):
-        framed = frames[starts[rows]]
-        v, vd = (_stft_rows(framed, taper, fft_half) for taper in (w.h, w.dh))
-        return rows, _dsst_rows(v, vd, w.K, fft_half, gamma, upsilon, cols,
-                                kinds)
+        pair = (_stft_rows(frames[rows], taper, fft_half)
+                for taper in (w.h, w.dh))
+        mags = _dsst_rows(*pair, w.K, fft_half, gamma, upsilon, cols, kinds)
+        band_mag[rows] = mags[KIND_DSSST][:, lo - cols[0] : hi - cols[0] + 1]
+        for kind in kinds:
+            grids[kind][rows] = mags[kind]
 
-    n_workers = _pool_size()
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        pending = deque()
-        for rows in _frame_blocks(starts.size):
-            pending.append(pool.submit(block, rows))
-            if len(pending) == n_workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+    with ThreadPoolExecutor(_pool_size()) as pool:
+        # Reading the results re-raises a failed block's error.
+        list(pool.map(block, _frame_blocks(n)))
+    return band_mag, grids

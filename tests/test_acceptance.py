@@ -17,7 +17,7 @@ from gaitcadence.pipeline import analyze_bout, preprocess, slice_record
 from gaitcadence.ridge import CadenceTrace, band_to_bins, ridge_dp
 from gaitcadence.signal import Signal, gaussian_window
 from gaitcadence.synth import ConstantProfile
-from gaitcadence.tfr import dsst_blocks, stft
+from gaitcadence.tfr import dsst, stft
 
 from conftest import as_record, make_walk
 
@@ -154,7 +154,7 @@ def test_chirp_tracking(chirp_walk, tmp_path):
 # --- 5. Harmonic suppression ----------------------------------------------------
 
 def band_masses(sig, cfg, band_hz):
-    """Spectrogram and dsSST energy of one Hz band, summed block by block.
+    """Spectrogram and dsSST energy of one Hz band.
 
     The kernel squeezes exactly the band's columns, as the pipeline squeezes
     its search band.
@@ -162,12 +162,10 @@ def band_masses(sig, cfg, band_hz):
     K = cfg.window_half(sig.fs)
     M = cfg.fft_half(K)
     lo, hi = band_to_bins(band_hz, sig.fs, M)
-    spectrogram = dssst = 0.0
-    for _, mags in dsst_blocks(sig, gaussian_window(K, cfg.sigma), M, cfg.hop,
-                               cfg.gamma, cfg.upsilon, (lo, hi)):
-        spectrogram += float(np.sum(mags["stft"][:, lo : hi + 1] ** 2))
-        dssst += float(np.sum(mags["dssst"] ** 2))
-    return spectrogram, dssst
+    band_mag, grids = dsst(sig, gaussian_window(K, cfg.sigma), M, cfg.hop,
+                           cfg.gamma, cfg.upsilon, (lo, hi), kinds=("stft",))
+    spectrogram = float(np.sum(grids["stft"][:, lo : hi + 1] ** 2))
+    return spectrogram, float(np.sum(band_mag ** 2))
 
 
 def test_harmonic_suppression(const_walk):

@@ -71,6 +71,11 @@ class TestAnalyzeBout:
         assert analysis.grids["stft"].shape == (analysis.n_frames, n_bins)
         assert np.all(analysis.grids["dssst"] >= 0.0)
 
+    def test_zero_hop_rejected_without_validation(self):
+        _, res = make_walk(duration_s=28.0, bout=(2.0, 26.0), fs=50.0, seed=5)
+        with pytest.raises(ParameterError, match="hop must be >= 1"):
+            analyze_signal(res.signal, PipelineConfig(**FAST, hop=0))
+
     def test_unknown_grid_kind_rejected(self):
         _, res = make_walk(duration_s=28.0, bout=(2.0, 26.0), fs=50.0, seed=5)
         with pytest.raises(ParameterError, match="bogus"):
@@ -126,6 +131,7 @@ class TestRunPipeline:
                               tmp_path / "out")
         statuses = [b.status for b in report.bouts]
         assert statuses == ["ok", "error"]
+        assert not any("clipped" in w for w in report.warnings)
         assert (tmp_path / "out" / "cadence.csv").exists()
 
     def test_bout_shorter_than_detrend_window(self, small_fixture, tmp_path):
@@ -149,6 +155,16 @@ class TestRunPipeline:
         # an in-range bout is not flagged
         run = run_pipeline(fast_config(), csv_path, labels_path, tmp_path / "ok")
         assert not any("clipped" in w for w in run.warnings)
+
+    def test_clipped_bout_that_fails_still_warns(self, small_fixture, tmp_path):
+        # Bout 2 is clipped to 24-28 s, shorter than the detrend window.
+        csv_path, _ = small_fixture
+        labels = tmp_path / "labels_clipped.csv"
+        labels.write_text("start_s,end_s,label\n2,20,1\n24,40,1\n")
+        run_pipeline(fast_config(), csv_path, labels, tmp_path / "out")
+        loaded = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [b["status"] for b in loaded["bouts"]] == ["ok", "error"]
+        assert any("bout 2" in w and "clipped" in w for w in loaded["warnings"])
 
     def test_per_bout_isolation(self, tmp_path):
         spec, res = make_walk(duration_s=60.0, bout=(2.0, 26.0), fs=50.0,
@@ -182,3 +198,13 @@ class TestRunPipeline:
         assert len(exported) == 1
         header = open(exported[0], "rb").read(2)
         assert header == b"P5"
+
+    def test_repeated_export_kind_written_once(self, small_fixture, tmp_path):
+        csv_path, labels_path = small_fixture
+        run_pipeline(fast_config(hop=10), csv_path, labels_path,
+                     tmp_path / "out", export_kinds=("stft", "dssst", "stft"),
+                     export_format="f64le")
+        loaded = json.loads((tmp_path / "out" / "report.json").read_text())
+        exported = [p for p in loaded["outputs"] if p.endswith(".f64le")]
+        assert [p.rsplit("_", 1)[1] for p in exported] == ["stft.f64le",
+                                                            "dssst.f64le"]

@@ -16,7 +16,7 @@ from gaitcadence.pipeline import analyze_signal
 from gaitcadence.signal import Signal, gaussian_window
 from gaitcadence.synth import WaveShape
 from gaitcadence.tfr import GRID_KINDS
-from gaitcadence.tfr import (OmegaMatrix, TFRGrid, deshape, dsst_blocks, istct,
+from gaitcadence.tfr import (OmegaMatrix, TFRGrid, deshape, dsst, istct,
                              reassignment_operator, stct, stft, synchrosqueeze)
 
 
@@ -118,6 +118,11 @@ class TestStft:
         s = Signal(np.zeros(50), fs=10.0)
         with pytest.raises(ParameterError):
             stft(s, gaussian_window(20, 0.15), 19)  # 2M=38 < 41
+
+    def test_zero_hop_rejected(self):
+        s = Signal(np.zeros(50), fs=10.0)
+        with pytest.raises(ParameterError, match="hop must be >= 1"):
+            stft(s, gaussian_window(5, 0.2), 16, hop=0)
 
 
 class TestStct:
@@ -477,17 +482,33 @@ def full_grid_chain(sig, cfg):
             "dssst": synchrosqueeze(wgrid, omega), "omega": omega}
 
 
-def kernel_blocks(sig, cfg, cols=(20, 60), kinds=()):
-    """The kernel's generator over ``sig`` with the test configuration."""
+def kernel(sig, cfg, band=(20, 60), kinds=()):
+    """The kernel's ``(band_mag, grids)`` over ``sig`` with the test
+    configuration."""
     K = cfg.window_half(sig.fs)
     w = gaussian_window(K, cfg.sigma)
-    return dsst_blocks(sig, w, cfg.fft_half(K), cfg.hop, cfg.gamma,
-                       cfg.upsilon, cols, kinds=kinds)
+    return dsst(sig, w, cfg.fft_half(K), cfg.hop, cfg.gamma, cfg.upsilon,
+                band, kinds=kinds)
 
 
-def kernel_dssst(sig, cfg, cols):
-    """The kernel's dssst rows for the column range ``cols``, block by block."""
-    return [mags["dssst"] for _, mags in kernel_blocks(sig, cfg, cols)]
+def kernel_dssst(sig, cfg, band):
+    """The kernel's dssst rows for the column range ``band``."""
+    return kernel(sig, cfg, band)[0]
+
+
+def block_sizes(sig, cfg, monkeypatch):
+    """Sorted frame counts of the blocks the kernel computes over ``sig``."""
+    sizes = []
+    dsst_rows = tfr._dsst_rows
+
+    def spy(v, *args, **kwargs):
+        sizes.append(v.shape[0])
+        return dsst_rows(v, *args, **kwargs)
+
+    monkeypatch.setattr(tfr, "_dsst_rows", spy)
+    kernel(sig, cfg)
+    monkeypatch.setattr(tfr, "_dsst_rows", dsst_rows)
+    return sorted(sizes)
 
 
 def small_config(hop):
@@ -520,15 +541,15 @@ class TestFrameBlocks:
         layouts = {}
         for n_workers in (1, 2):
             monkeypatch.setattr(tfr, "_pool_size", lambda: n_workers)
-            layouts[n_workers] = [rows for rows, _ in
-                                  kernel_blocks(sig, small_config(1))]
-        assert layouts[1] == layouts[2] == tfr._frame_blocks(n_frames)
+            layouts[n_workers] = block_sizes(sig, small_config(1), monkeypatch)
+        expected = sorted(rows.stop - rows.start
+                          for rows in tfr._frame_blocks(n_frames))
+        assert layouts[1] == layouts[2] == expected
 
-    def test_short_bout_yields_two_blocks(self):
+    def test_short_bout_yields_two_blocks(self, monkeypatch):
         n = tfr._CHUNK_FRAMES - 56
-        rows = [rows for rows, _ in kernel_blocks(walk_signal(n=n),
-                                                  small_config(1))]
-        assert rows == [slice(0, n // 2), slice(n // 2, n)]
+        sizes = block_sizes(walk_signal(n=n), small_config(1), monkeypatch)
+        assert sizes == [n // 2, n - n // 2]
 
 
 class TestChunkedChain:
@@ -553,9 +574,8 @@ class TestChunkedChain:
         M = full.shape[1] - 1
         lo, hi = {"inner": (20, 60), "bin 0": (0, 12),
                   "bin M": (M - 30, M)}[where]
-        blocks = kernel_dssst(sig, cfg, (lo, hi))
-        assert len(blocks) > 1
-        got = np.concatenate(blocks)
+        got = kernel_dssst(sig, cfg, (lo, hi))
+        assert len(tfr._frame_blocks(got.shape[0])) > 1
         assert got.shape == (full.shape[0], hi - lo + 1)
         assert got.tobytes() == np.ascontiguousarray(full[:, lo : hi + 1]).tobytes()
         assert np.any(got > 0)
@@ -570,11 +590,10 @@ class TestChunkedChain:
         sig.samples[a - K : b + K] = 0.0
         chain = full_grid_chain(sig, cfg)
         assert not np.any(chain["omega"].finite_mask[a:b])
-        blocks = kernel_dssst(sig, cfg, (20, 60))
-        assert blocks[1].shape == (b - a, 41)
-        assert blocks[1].tobytes() == np.zeros((b - a, 41)).tobytes()
+        got = kernel_dssst(sig, cfg, (20, 60))
+        assert got[a:b].tobytes() == np.zeros((b - a, 41)).tobytes()
         full = chain["dssst"].magnitude()[:, 20:61]
-        assert np.concatenate(blocks).tobytes() == np.ascontiguousarray(full).tobytes()
+        assert got.tobytes() == np.ascontiguousarray(full).tobytes()
 
     @pytest.mark.parametrize("hop", [1, 3])
     def test_pool_size_does_not_change_rows(self, hop, monkeypatch):
@@ -583,32 +602,32 @@ class TestChunkedChain:
         cfg = small_config(hop)
         n_frames = -(-1600 // hop)
         assert n_frames % tfr._CHUNK_FRAMES != 0
+        assert len(tfr._frame_blocks(n_frames)) > 2
         runs = {}
         for n_workers in (1, 2):
             monkeypatch.setattr(tfr, "_pool_size", lambda: n_workers)
-            runs[n_workers] = list(kernel_blocks(sig, cfg, kinds=GRID_KINDS))
-        for blocks in runs.values():
-            stops = [0] + [rows.stop for rows, _ in blocks]
-            assert [rows.start for rows, _ in blocks] == stops[:-1]
-            assert stops[-1] == n_frames
-            assert all(mags["dssst"].shape[0] == rows.stop - rows.start
-                       for rows, mags in blocks)
-        assert len(runs[1]) == len(runs[2]) > 2
-        for (rows1, mags1), (rows2, mags2) in zip(runs[1], runs[2]):
-            assert rows1 == rows2
-            assert mags1.keys() == mags2.keys()
-            for kind in mags1:
-                assert mags1[kind].tobytes() == mags2[kind].tobytes(), kind
+            runs[n_workers] = kernel(sig, cfg, kinds=GRID_KINDS)
+        (band1, grids1), (band2, grids2) = runs[1], runs[2]
+        assert band1.shape == (n_frames, 41)
+        assert band1.tobytes() == band2.tobytes()
+        assert grids1.keys() == grids2.keys() == set(GRID_KINDS)
+        for kind in GRID_KINDS:
+            assert grids1[kind].shape[0] == n_frames
+            assert grids1[kind].tobytes() == grids2[kind].tobytes(), kind
 
-    def test_closing_early_stops_the_pool(self, monkeypatch):
-        monkeypatch.setattr(tfr, "_pool_size", lambda: 2)
-        before = threading.active_count()
+    @pytest.mark.parametrize("kinds", [(), GRID_KINDS])
+    def test_block_order_does_not_change_rows(self, kinds, monkeypatch):
         sig = walk_signal()
-        gen = kernel_blocks(sig, small_config(1))
-        rows, _ = next(gen)
-        assert rows == tfr._frame_blocks(len(sig))[0]
-        gen.close()
-        assert threading.active_count() == before
+        cfg = small_config(1)
+        band, grids = kernel(sig, cfg, kinds=kinds)
+        frame_blocks = tfr._frame_blocks
+        monkeypatch.setattr(tfr, "_frame_blocks",
+                            lambda n: frame_blocks(n)[::-1])
+        rev_band, rev_grids = kernel(sig, cfg, kinds=kinds)
+        assert rev_band.tobytes() == band.tobytes()
+        assert rev_grids.keys() == grids.keys() == set(kinds)
+        for kind in kinds:
+            assert rev_grids[kind].tobytes() == grids[kind].tobytes(), kind
 
     def test_error_in_a_block_propagates_and_stops_the_pool(self, monkeypatch):
         monkeypatch.setattr(tfr, "_pool_size", lambda: 2)
@@ -623,8 +642,7 @@ class TestChunkedChain:
         monkeypatch.setattr(tfr, "_dsst_rows", failing_second_block)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="block failed"):
-            for _ in kernel_blocks(walk_signal(), small_config(1)):
-                pass
+            kernel(walk_signal(), small_config(1))
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("hop", [1, 3])
