@@ -14,15 +14,16 @@ from . import __version__
 from .analysis import bland_altman
 from .config import load_config
 from .errors import CadenceError, ConfigError, DataFormatError, ParameterError
-from .io import (export_tfr, load_labels_csv, load_trace_csv, load_triaxial_csv,
-                 write_bland_altman_csv, write_labels_csv, write_triaxial_csv,
-                 TFR_FORMATS)
-from .pipeline import (analyze_signal, analysis_grid, check_window, preprocess,
-                       run_pipeline, slice_record)
+from .io import (export_tfr, load_trace_csv, write_bland_altman_csv,
+                 write_labels_csv, write_triaxial_csv, TFR_FORMATS)
+from .pipeline import (analyze_signal, analysis_grid, load_recording,
+                       preprocess, run_pipeline, slice_record)
 from .signal import TriaxialRecord, VALID_LOCATIONS
 from .synth import (BoutModel, ConstantProfile, LinearProfile, WalkingModelSpec,
                     WaveShape, ar1_sd_for_snr, synthesize_walk)
 from .tfr import GRID_KINDS, KIND_DSSST
+
+logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -237,14 +238,14 @@ def tfr_cmd(input_csv, kind, fmt, out, start, end, config_path, band, **kw):
     """Compute one time-frequency grid of a recording and export it.
 
     Grids are materialized in full, so prefer a hop of several samples for
-    long recordings.
+    long recordings. A --start/--end range that runs past the recording is
+    clipped to it with a warning.
     """
     cfg = _build_config(config_path, band, **kw)
-    rec = load_triaxial_csv(input_csv, fs_hint=cfg.fs, location=cfg.location)
-    check_window(cfg, rec)
-    sliced, t0 = slice_record(rec, start, end)
-    sig = preprocess(sliced, t0=t0)
-    analysis = analyze_signal(sig, cfg, collect=(kind,))
+    sliced, t0, note = slice_record(load_recording(cfg, input_csv), start, end)
+    if note:
+        logger.warning("%s", note)
+    analysis = analyze_signal(preprocess(sliced, t0=t0), cfg, collect=(kind,))
     export_tfr(analysis_grid(analysis, kind), out, fmt)
     click.echo(f"wrote {out} ({analysis.n_frames} frames x "
                f"{analysis.fft_half + 1} bins, kind={kind})")

@@ -20,11 +20,11 @@ logger = logging.getLogger(__name__)
 UNIFORMITY_TOL = 0.01  # sampling intervals may deviate 1% from their median
 PGM_QUANTILE = 0.99
 
-_FLOAT_FMT = "{:.12g}"
+_FLOAT_FMT = "%.12g"  # every float written as text, also by np.savetxt
 
 
 def _fmt(x: float) -> str:
-    return _FLOAT_FMT.format(x)
+    return _FLOAT_FMT % x
 
 
 def _read_rows(path: Path, headers, convert) -> tuple[list, list, list]:
@@ -124,8 +124,8 @@ def write_triaxial_csv(path, rec: TriaxialRecord, t0: float = 0.0):
     t = t0 + np.arange(len(rec)) / rec.fs
     with path.open("w", newline="") as fh:
         fh.write("t,x,y,z\n")
-        for ti, xi, yi, zi in zip(t, rec.x, rec.y, rec.z):
-            fh.write(f"{_fmt(ti)},{_fmt(xi)},{_fmt(yi)},{_fmt(zi)}\n")
+        np.savetxt(fh, np.column_stack([t, rec.x, rec.y, rec.z]),
+                   fmt=_FLOAT_FMT, delimiter=",")
 
 
 def load_labels_csv(path) -> list[BoutInterval]:
@@ -175,8 +175,9 @@ def write_trace_csv(path, trace: CadenceTrace, labels: np.ndarray):
         raise ParameterError("labels must have one entry per trace frame")
     with path.open("w", newline="") as fh:
         fh.write("time_s,if_hz,cadence_hz,bout_label\n")
-        for t, f, c, lab in zip(trace.times, trace.if_hz, trace.cadence_hz, labels):
-            fh.write(f"{_fmt(t)},{_fmt(f)},{_fmt(c)},{int(lab)}\n")
+        np.savetxt(fh, np.column_stack([trace.times, trace.if_hz,
+                                        trace.cadence_hz, labels]),
+                   fmt=[_FLOAT_FMT] * 3 + ["%d"], delimiter=",")
 
 
 def load_trace_csv(path) -> tuple[CadenceTrace, np.ndarray]:
@@ -242,8 +243,7 @@ def export_tfr(tfr: TFRGrid, path, fmt: str = "csv"):
                      f"hop={tfr.hop} t0={_fmt(tfr.t0)} n_frames={mag.shape[0]}\n")
             fh.write("# columns: frequency bins 0..M at m*fs/(2M) Hz; "
                      "rows: frames\n")
-            for row in mag:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            np.savetxt(fh, mag, fmt=_FLOAT_FMT, delimiter=",")
     elif fmt == "pgm":
         q = float(np.quantile(mag, PGM_QUANTILE))
         if q <= 0:

@@ -1,8 +1,10 @@
 """End-to-end orchestration: preprocessing, dsSST, ridge, exports.
 
-Each bout is analyzed on its own slice of samples, so one bout's data can
-never influence another bout's outputs. The transform chain itself is
-``tfr.dsst``, which returns only what the run reads: the squeezed
+``run_pipeline`` and the ``tfr`` command load a recording through
+``load_recording`` and turn a time range into samples through
+``slice_record``. Each bout is analyzed on its own slice of samples, so one
+bout's data can never influence another bout's outputs. The transform chain
+itself is ``tfr.dsst``, which returns only what the run reads: the squeezed
 magnitudes in the search band, plus any requested full grids.
 """
 
@@ -128,45 +130,55 @@ class RunReport:
         }
 
 
-def _sample_range(rec: TriaxialRecord, start_s, end_s) -> tuple[int, int]:
-    """Unclipped sample indices of ``[start_s, end_s)``; ``None`` is a record end."""
-    i0 = 0 if start_s is None else int(round(start_s * rec.fs))
-    i1 = len(rec) if end_s is None else int(round(end_s * rec.fs))
-    return i0, i1
-
-
-def check_window(cfg: PipelineConfig, rec: TriaxialRecord) -> None:
-    """Reject, as ``ConfigError``, an analysis window that ``rec`` cannot fit.
-
-    Resolves the window half-length and the DFT size once, so a window
-    shorter than 3 samples or longer than ``fft_pad`` fails here, and
-    rejects a window spanning more samples than the whole recording.
+def load_recording(cfg: PipelineConfig, path) -> TriaxialRecord:
+    """Load a recording CSV and reject a config that it cannot serve: a
+    band above its Nyquist frequency (``ParameterError``), or a window under
+    3 samples, over ``fft_pad`` or over the whole recording (``ConfigError``).
     """
+    rec = load_triaxial_csv(path, fs_hint=cfg.fs, location=cfg.location)
+    check_band(cfg.band_hz, rec.fs)
     K = cfg.window_half(rec.fs)
     cfg.fft_half(K)
     if 2 * K + 1 > len(rec):
         raise ConfigError(
             f"window_span_s={cfg.window_span_s} spans {2 * K + 1} samples, "
             f"more than the {len(rec)}-sample recording")
+    return rec
 
 
 def slice_record(rec: TriaxialRecord, start_s=None,
-                 end_s=None) -> tuple[TriaxialRecord, float]:
+                 end_s=None) -> tuple[TriaxialRecord, float, str]:
     """Samples of ``rec`` from ``start_s`` to ``end_s`` seconds.
 
     ``None`` stands for the start or end of the recording, and a range that
-    runs past the recording is clipped to it. Returns the slice and the time
-    of its first sample; a range holding no sample raises ``DataFormatError``.
+    runs past the recording is clipped to it. Returns the slice, the time of
+    its first sample and a note saying that the range was clipped, or
+    ``""``; a range holding no sample raises ``DataFormatError``.
     """
-    i0, i1 = _sample_range(rec, start_s, end_s)
-    i0, i1 = max(0, i0), min(len(rec), i1)
-    if i1 <= i0:
+    i0 = 0 if start_s is None else int(round(start_s * rec.fs))
+    i1 = len(rec) if end_s is None else int(round(end_s * rec.fs))
+    lo, hi = max(0, i0), min(len(rec), i1)
+    if hi <= lo:
         raise DataFormatError(
             f"time range [{start_s}, {end_s}] s holds no sample of the recording"
         )
-    sliced = TriaxialRecord(x=rec.x[i0:i1], y=rec.y[i0:i1], z=rec.z[i0:i1],
+    note = ""
+    if (lo, hi) != (i0, i1):
+        note = (f"[{start_s}, {end_s}] runs past the {len(rec) / rec.fs:g} s "
+                "recording; clipped to it")
+    sliced = TriaxialRecord(x=rec.x[lo:hi], y=rec.y[lo:hi], z=rec.z[lo:hi],
                             fs=rec.fs, location=rec.location)
-    return sliced, i0 / rec.fs
+    return sliced, lo / rec.fs, note
+
+
+def _analyze_slice(sliced: TriaxialRecord, t0: float, cfg: PipelineConfig,
+                   collect):
+    sig = preprocess(sliced, t0=t0)
+    analysis = analyze_signal(sig, cfg, collect=collect)
+    ridge = extract_bout_ridge(analysis, cfg.ridge_lambda)
+    trace = cadence_from_ridge(ridge, fs=analysis.fs, fft_half=analysis.fft_half,
+                               hop=analysis.hop, t0=t0)
+    return analysis, ridge, trace
 
 
 def analyze_bout(rec: TriaxialRecord, bout: BoutInterval, cfg: PipelineConfig,
@@ -176,13 +188,8 @@ def analyze_bout(rec: TriaxialRecord, bout: BoutInterval, cfg: PipelineConfig,
     Returns ``(analysis, ridge, trace)``; a degenerate ridge is flagged on
     the curve rather than raised, so the caller decides how to report it.
     """
-    sliced, t0 = slice_record(rec, bout.start_s, bout.end_s)
-    sig = preprocess(sliced, t0=t0)
-    analysis = analyze_signal(sig, cfg, collect=collect)
-    ridge = extract_bout_ridge(analysis, cfg.ridge_lambda)
-    trace = cadence_from_ridge(ridge, fs=analysis.fs, fft_half=analysis.fft_half,
-                               hop=analysis.hop, t0=t0)
-    return analysis, ridge, trace
+    sliced, t0, _ = slice_record(rec, bout.start_s, bout.end_s)
+    return _analyze_slice(sliced, t0, cfg, collect)
 
 
 def run_pipeline(cfg: PipelineConfig, input_csv, labels_csv, outdir,
@@ -198,9 +205,7 @@ def run_pipeline(cfg: PipelineConfig, input_csv, labels_csv, outdir,
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    rec = load_triaxial_csv(input_csv, fs_hint=cfg.fs, location=cfg.location)
-    check_band(cfg.band_hz, rec.fs)
-    check_window(cfg, rec)
+    rec = load_recording(cfg, input_csv)
     bouts = load_labels_csv(labels_csv)
     warnings = check_bout_spans(bouts, cfg.window_span_s)
     for msg in warnings:
@@ -209,45 +214,38 @@ def run_pipeline(cfg: PipelineConfig, input_csv, labels_csv, outdir,
     outcomes = []
     outputs = []
     traces = []
-    labels_per_frame = []
 
     for idx, bout in enumerate(bouts, start=1):
         t_bout = time.perf_counter()
-        # A bout that misses the recording altogether fails below instead.
-        i0, i1 = _sample_range(rec, bout.start_s, bout.end_s)
-        if i0 < len(rec) and i1 > 0 and (i0 < 0 or i1 > len(rec)):
-            msg = (f"bout {idx} [{bout.start_s}, {bout.end_s}] runs past "
-                   f"the {len(rec) / rec.fs:g} s recording; clipped to it")
-            logger.warning("%s", msg)
-            warnings.append(msg)
+        status, message, n_frames, mean_hz = "ok", "", 0, None
         try:
-            analysis, ridge, trace = analyze_bout(rec, bout, cfg,
-                                                  collect=export_kinds)
-            traces.append(trace)
-            labels_per_frame.append(np.full(len(trace), bout.label, dtype=int))
+            sliced, t0, note = slice_record(rec, bout.start_s, bout.end_s)
+            if note:
+                # Recorded before the analysis, which may still fail.
+                msg = f"bout {idx} {note}"
+                logger.warning("%s", msg)
+                warnings.append(msg)
+            analysis, ridge, trace = _analyze_slice(sliced, t0, cfg,
+                                                    export_kinds)
             for kind in export_kinds:
                 out = outdir / f"tfr_bout{idx:02d}_{kind}.{export_format}"
                 export_tfr(analysis_grid(analysis, kind), out, export_format)
                 outputs.append(str(out))
-            status, message = "ok", ""
+            traces.append(trace)
+            n_frames, mean_hz = len(trace), float(trace.cadence_hz.mean())
             if ridge.degenerate:
                 status = "warning"
                 message = "degenerate ridge: band energy is all zero"
                 warnings.append(f"bout {idx}: {message}")
-            outcomes.append(BoutOutcome(
-                start_s=bout.start_s, end_s=bout.end_s, label=bout.label,
-                status=status, message=message, n_frames=len(trace),
-                mean_cadence_hz=float(trace.cadence_hz.mean()),
-                elapsed_s=time.perf_counter() - t_bout,
-            ))
         except CadenceError as exc:
             logger.error("bout %d [%s, %s] failed: %s", idx, bout.start_s,
                          bout.end_s, exc)
-            outcomes.append(BoutOutcome(
-                start_s=bout.start_s, end_s=bout.end_s, label=bout.label,
-                status="error", message=str(exc),
-                elapsed_s=time.perf_counter() - t_bout,
-            ))
+            status, message = "error", str(exc)
+        outcomes.append(BoutOutcome(
+            start_s=bout.start_s, end_s=bout.end_s, label=bout.label,
+            status=status, message=message, n_frames=n_frames,
+            mean_cadence_hz=mean_hz, elapsed_s=time.perf_counter() - t_bout,
+        ))
 
     if traces:
         # The bouts are sorted and disjoint, so the traces are in time order.
@@ -257,7 +255,9 @@ def run_pipeline(cfg: PipelineConfig, input_csv, labels_csv, outdir,
             cadence_hz=np.concatenate([t.cadence_hz for t in traces]),
             frame_dt=traces[0].frame_dt,
         )
-        merged_labels = np.concatenate(labels_per_frame)
+        # A failed bout has no frames, so it adds no labels.
+        merged_labels = np.repeat([o.label for o in outcomes],
+                                  [o.n_frames for o in outcomes])
 
         trace_path = outdir / "cadence.csv"
         write_trace_csv(trace_path, merged, merged_labels)

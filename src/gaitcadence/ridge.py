@@ -146,12 +146,8 @@ def check_band(band_hz, fs: float) -> tuple[float, float]:
 
 
 def band_to_bins(band_hz, fs: float, fft_half: int) -> tuple[int, int]:
-    """Inclusive zero-based bin range covering a physical frequency band.
-
-    ``None`` is the whole axis; a band is checked by ``check_band``.
-    """
-    if band_hz is None:
-        return 0, fft_half
+    """Inclusive zero-based bin range covering a physical frequency band,
+    which is checked by ``check_band``."""
     lo_hz, hi_hz = check_band(band_hz, fs)
     lo = max(0, math.ceil(lo_hz * 2.0 * fft_half / fs - 1e-9))
     hi = min(fft_half, math.floor(hi_hz * 2.0 * fft_half / fs + 1e-9))

@@ -94,10 +94,6 @@ class TFRGrid:
     def magnitude(self) -> np.ndarray:
         return np.abs(self.values)
 
-    def bin_of_hz(self, hz: float) -> int:
-        """Nearest frequency bin (zero-based) for a physical frequency."""
-        return int(round(hz * 2.0 * self.fft_half / self.fs))
-
 
 @dataclass
 class OmegaMatrix:

@@ -182,7 +182,7 @@ def test_harmonic_suppression(const_walk):
                  spec.fs, t0=2.0)
     spec_ratio = band_masses(raw, cfg, harm2)[0] / band_masses(raw, cfg, fund)[0]
 
-    sliced, t0 = slice_record(as_record(res), 2.0, 62.0)
+    sliced, t0, _ = slice_record(as_record(res), 2.0, 62.0)
     sig = preprocess(sliced, t0=t0)
     ds_ratio = band_masses(sig, cfg, harm2)[1] / band_masses(sig, cfg, fund)[1]
     report("harmonic-suppression",

@@ -1,5 +1,6 @@
 """Command-line interface: subcommand flows and exit codes."""
 
+import logging
 import os
 import subprocess
 import sys
@@ -175,6 +176,35 @@ class TestTfrCommand:
         code = main(["tfr", str(csv_path), "-o", str(tmp_path / "x.csv"),
                      "--start", "20", "--end", "10"])
         assert code == 2
+
+    def test_clipped_range_warns(self, synth_files, tmp_path, caplog):
+        # The recording is 28 s long: 2-40 s is clipped to 2-28 s.
+        _, csv_path, _, _ = synth_files
+        for end, clipped in (("40", True), ("26", False)):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                code = main(["tfr", str(csv_path), "-o", str(tmp_path / "x.csv"),
+                             "--hop", "10", "--start", "2", "--end", end]
+                            + FAST_FLAGS)
+            assert code == 0
+            warned = [r.getMessage() for r in caplog.records
+                      if "clipped" in r.getMessage()]
+            assert warned == ([f"[2.0, {end}.0] runs past the 28 s recording; "
+                               "clipped to it"] if clipped else [])
+
+    def test_band_above_nyquist_fails_before_preprocess(self, synth_files,
+                                                        tmp_path, monkeypatch):
+        # The recording is sampled at 50 Hz: Nyquist is 25 Hz.
+        _, csv_path, _, _ = synth_files
+        calls = []
+        monkeypatch.setattr("gaitcadence.cli.preprocess",
+                            lambda *a, **k: calls.append(a))
+        out = tmp_path / "x.csv"
+        code = main(["tfr", str(csv_path), "-o", str(out),
+                     "--band", "0.3:30"] + FAST_FLAGS)
+        assert code == 1
+        assert calls == []
+        assert not out.exists()
 
 
 class TestCompare:

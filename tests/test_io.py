@@ -138,6 +138,33 @@ class TestTraceCsv:
             load_trace_csv(p)
 
 
+class TestCsvText:
+    """Tables carry the text of a per-value ``{:.12g}`` loop."""
+
+    VALUES = np.array([0.0, -0.0, 1 / 3, -2.5e-7, 1e16, 123456789012.5,
+                       5e-324, 1.7976931348623157e308, np.nan, np.inf,
+                       -np.inf, 2.0])
+
+    def test_trace_rows(self, tmp_path):
+        v = self.VALUES
+        times = 1e9 + np.arange(v.size) / 3
+        trace = CadenceTrace(times=times, if_hz=v, cadence_hz=-v[::-1],
+                             frame_dt=1 / 3)
+        labels = np.arange(v.size) % 4
+        p = tmp_path / "trace.csv"
+        write_trace_csv(p, trace, labels)
+        assert p.read_text().splitlines()[1:] == [
+            f"{t:.12g},{f:.12g},{c:.12g},{lab}"
+            for t, f, c, lab in zip(times, v, -v[::-1], labels)]
+
+    def test_tfr_rows(self, tmp_path):
+        mag = self.VALUES.reshape(2, 6)
+        p = tmp_path / "grid.csv"
+        export_tfr(TFRGrid(mag, fs=10.0, fft_half=5), p, "csv")
+        assert p.read_text().splitlines()[2:] == [
+            ",".join(f"{x:.12g}" for x in np.abs(row)) for row in mag]
+
+
 class TestBlandAltmanCsv:
     def test_columns(self, tmp_path):
         base = np.full(10, 2.0)

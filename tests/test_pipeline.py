@@ -8,7 +8,7 @@ import pytest
 
 from gaitcadence.analysis import BoutInterval
 from gaitcadence.config import PipelineConfig
-from gaitcadence.errors import ParameterError
+from gaitcadence.errors import DataFormatError, ParameterError
 from gaitcadence.io import load_trace_csv, write_labels_csv, write_triaxial_csv
 from gaitcadence.pipeline import analyze_bout, analyze_signal, run_pipeline
 from gaitcadence.synth import ConstantProfile
@@ -165,6 +165,31 @@ class TestRunPipeline:
         loaded = json.loads((tmp_path / "out" / "report.json").read_text())
         assert [b["status"] for b in loaded["bouts"]] == ["ok", "error"]
         assert any("bout 2" in w and "clipped" in w for w in loaded["warnings"])
+
+    def test_export_failure_leaves_no_frames(self, small_fixture, tmp_path,
+                                             monkeypatch):
+        import gaitcadence.pipeline as pipeline
+        export_tfr = pipeline.export_tfr
+
+        def export_all_but_bout2(grid, path, fmt):
+            if "bout02" in str(path):
+                raise DataFormatError("disk full")
+            export_tfr(grid, path, fmt)
+
+        monkeypatch.setattr(pipeline, "export_tfr", export_all_but_bout2)
+        csv_path, _ = small_fixture
+        labels = tmp_path / "labels.csv"
+        labels.write_text("start_s,end_s,label\n2,13,1\n14,26,3\n")
+        report = run_pipeline(fast_config(hop=10), csv_path, labels,
+                              tmp_path / "out", export_kinds=("stft",),
+                              export_format="f64le")
+        assert [(b.status, b.message) for b in report.bouts] == [
+            ("ok", ""), ("error", "disk full")]
+        assert report.bouts[0].n_frames > 0
+        assert report.bouts[1].n_frames == 0
+        trace, labels_per_frame = load_trace_csv(tmp_path / "out" / "cadence.csv")
+        assert len(trace) == report.bouts[0].n_frames
+        assert set(labels_per_frame) == {1}
 
     def test_per_bout_isolation(self, tmp_path):
         spec, res = make_walk(duration_s=60.0, bout=(2.0, 26.0), fs=50.0,

@@ -25,7 +25,8 @@ def path_objective(mag, bins, penalty):
 def ridge_of(mag, fs=10.0, band_hz=None, penalty=1.0):
     """Ridge through a full-width magnitude grid, restricted as the pipeline does."""
     fft_half = mag.shape[1] - 1
-    lo, hi = band_to_bins(band_hz, fs, fft_half)
+    lo, hi = ((0, fft_half) if band_hz is None
+              else band_to_bins(band_hz, fs, fft_half))
     analysis = BoutAnalysis(band_mag=mag[:, lo : hi + 1], band_bins=(lo, hi),
                             fft_half=fft_half, hop=1, fs=fs, t0=0.0,
                             n_frames=mag.shape[0])
@@ -231,7 +232,6 @@ class TestExtractRidge:
     def test_band_to_bins_mapping(self):
         # fs=10, 2M=20: bin spacing 0.5 Hz
         assert band_to_bins((1.0, 2.0), 10.0, 10) == (2, 4)
-        assert band_to_bins(None, 10.0, 10) == (0, 10)
         # the band may reach Nyquist (bin M) but not beyond it
         assert band_to_bins((1.0, 5.0), 10.0, 10) == (2, 10)
         for band in ((1.0, 5.01), (0.3, 1e300)):

@@ -105,7 +105,7 @@ class TestSynthesizeWalk:
                                 fs=40.0)
         res = synthesize_walk(spec, seed=3)
         v = stft(res.clean, gaussian_window(160, 0.15), 512, hop=4)
-        b1, b2 = v.bin_of_hz(1.0), v.bin_of_hz(2.0)
+        b1, b2 = (round(hz * 2.0 * v.fft_half / v.fs) for hz in (1.0, 2.0))
         rows = slice(100, 300)
         mass1 = (np.abs(v.values[rows, b1 - 2 : b1 + 3]) ** 2).sum()
         mass2 = (np.abs(v.values[rows, b2 - 2 : b2 + 3]) ** 2).sum()

@@ -297,8 +297,7 @@ class TestDeshape:
         c = stct(v, 0.3)
         u = istct(c)
         wg = deshape(v, u)
-        b1 = v.bin_of_hz(1.0)
-        b2 = v.bin_of_hz(2.0)
+        b1, b2 = (round(hz * 2.0 * M / fs) for hz in (1.0, 2.0))
         rows = slice(600, 1800)
         ratio_v = (np.abs(v.values[rows, b2]).sum()
                    / np.abs(v.values[rows, b1]).sum())
