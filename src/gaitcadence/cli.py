@@ -11,8 +11,8 @@ import click
 import numpy as np
 
 from . import __version__
-from .analysis import bland_altman
-from .config import load_config
+from .analysis import BoutInterval, bland_altman, validate_bouts
+from .config import SETTINGS, load_config
 from .errors import CadenceError, ConfigError, DataFormatError, ParameterError
 from .io import (export_tfr, load_trace_csv, write_bland_altman_csv,
                  write_labels_csv, write_triaxial_csv, TFR_FORMATS)
@@ -32,42 +32,41 @@ EXIT_INTERNAL = 3
 
 
 def _config_options(fn):
-    opts = [
-        click.option("--config", "config_path", type=click.Path(), default=None,
-                     help="Flat key=value config file."),
-        click.option("--window-span-s", type=float, default=None,
-                     help="Analysis window span in seconds."),
-        click.option("--sigma", type=float, default=None,
-                     help="Gaussian shape parameter on the normalized support."),
-        click.option("--gamma", type=float, default=None,
-                     help="Soft-log power for the cepstral transform."),
-        click.option("--upsilon", type=float, default=None,
-                     help="Magnitude threshold for the reassignment rule."),
-        click.option("--lambda", "ridge_lambda", type=float, default=None,
-                     help="Ridge smoothness penalty."),
-        click.option("--band", type=str, default=None, metavar="LO:HI",
-                     help="Fundamental search band in Hz (e.g. 0.3:2.5)."),
-        click.option("--hop", type=int, default=None,
-                     help="Frame hop in samples."),
-        click.option("--fft-pad", type=str, default=None,
-                     help="DFT length 2M: 'auto' or an even integer."),
-        click.option("--fs", type=float, default=None,
-                     help="Sampling rate when the CSV lacks a time column."),
-        click.option("--location", type=click.Choice(VALID_LOCATIONS),
-                     default=None, help="Sensor location tag."),
-    ]
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
+    """Add ``--config`` and one flag per ``config.SETTINGS`` key to ``fn``."""
+    for key, (name, parser, help_text) in reversed(SETTINGS.items()):
+        if name == "band_lo_hz":
+            fn = click.option("--band", metavar="LO:HI", help=help_text)(fn)
+        elif name != "band_hi_hz":
+            kind = click.Choice(VALID_LOCATIONS) if name == "location" else parser
+            fn = click.option("--" + key.replace("_", "-"), name, type=kind,
+                              help=help_text)(fn)
+    return click.option("--config", "config_path", type=click.Path(),
+                        help="Flat key=value config file.")(fn)
+
+
+def _parse_option(option: str, form: str, text: str, sep: str, build):
+    """``build(*fields)`` for the fields of ``text`` split at ``sep``.
+
+    A wrong number of fields (``TypeError``), a field that is not a number
+    (``ValueError``) or numbers that ``build`` rejects (``ParameterError``)
+    raise ``ConfigError`` naming ``option`` and its ``form``.
+    """
+    try:
+        return build(*text.split(sep))
+    except (TypeError, ValueError) as exc:
+        reason = f": {exc}" if isinstance(exc, ParameterError) else ""
+        raise ConfigError(f"{option} expects {form}, got {text!r}{reason}") \
+            from None
+
+
+def _floats(*fields) -> list[float]:
+    return [float(f) for f in fields]
 
 
 def _build_config(config_path, band, **kw):
     if band is not None:
-        try:
-            lo, hi = band.split(":")
-            kw["band_lo_hz"], kw["band_hi_hz"] = float(lo), float(hi)
-        except ValueError:
-            raise ConfigError(f"--band expects LO:HI in Hz, got {band!r}") from None
+        kw["band_lo_hz"], kw["band_hi_hz"] = _parse_option(
+            "--band", "LO:HI in Hz", band, ":", lambda lo, hi: _floats(lo, hi))
     return load_config(config_path, **kw)
 
 
@@ -148,52 +147,33 @@ def run(input_csv, labels_csv, outdir, export_kinds, export_format,
 def synth(duration, fs, bout_specs, if_hz, if_ramp, alphas, betas, alpha0,
           amp, snr_db, rho, baseline, seed, out_csv, out_labels, out_truth):
     """Generate a synthetic walking recording with known cadence."""
-    try:
-        alpha_vals = [float(a) for a in alphas.split(",") if a.strip()]
-    except ValueError:
-        raise ConfigError(f"--alphas expects comma-separated floats, got {alphas!r}") \
-            from None
+    alpha_vals = _parse_option("--alphas", "comma-separated floats", alphas,
+                               ",", _floats)
     if betas is None:
         beta_vals = [0.8 * (j + 1) for j in range(len(alpha_vals))]
+        shape = WaveShape(alpha_vals, beta_vals, alpha0)
     else:
-        try:
-            beta_vals = [float(b) for b in betas.split(",") if b.strip()]
-        except ValueError:
-            raise ConfigError(f"--betas expects comma-separated floats, got {betas!r}") \
-                from None
-    if len(beta_vals) != len(alpha_vals):
-        raise ConfigError("--betas must match --alphas in length")
-    shape = WaveShape(alpha_vals, beta_vals, alpha0).normalized()
+        shape = _parse_option(
+            "--betas", "one comma-separated float per alpha", betas, ",",
+            lambda *b: WaveShape(alpha_vals, _floats(*b), alpha0))
+    shape = shape.normalized()
 
     if if_ramp is not None:
-        try:
-            lo, hi = (float(v) for v in if_ramp.split(":"))
-        except ValueError:
-            raise ConfigError(f"--if-ramp expects LO:HI, got {if_ramp!r}") from None
-        profile = LinearProfile(lo, hi)
+        profile = _parse_option("--if-ramp", "LO:HI", if_ramp, ":",
+                                lambda lo, hi: LinearProfile(*_floats(lo, hi)))
     else:
         profile = ConstantProfile(if_hz)
 
-    intervals = []
-    if not bout_specs:
-        intervals.append((0.0, duration, 1))
-    for spec_str in bout_specs:
-        parts = spec_str.split(":")
-        if len(parts) not in (2, 3):
-            raise ConfigError(
-                f"--bout expects START:END[:LABEL], got {spec_str!r}")
-        try:
-            start, end = float(parts[0]), float(parts[1])
-            label = int(parts[2]) if len(parts) == 3 else 1
-        except ValueError:
-            raise ConfigError(
-                f"--bout expects numeric START:END[:LABEL], got {spec_str!r}") \
-                from None
-        intervals.append((start, end, label))
-
-    bouts = [BoutModel(start_s=s, end_s=e, if_profile=profile, shape=shape,
-                       amp_profile=ConstantProfile(amp), label=lab)
-             for s, e, lab in intervals]
+    intervals = [_parse_option("--bout", "START:END[:LABEL]", spec_str, ":",
+                               lambda start, end, label="1": BoutInterval(
+                                   float(start), float(end), int(label)))
+                 for spec_str in bout_specs]
+    # The label reader's rules: BoutInterval's and no overlaps.
+    intervals = validate_bouts(intervals or [BoutInterval(0.0, duration, 1)])
+    bouts = [BoutModel(start_s=b.start_s, end_s=b.end_s, if_profile=profile,
+                       shape=shape, amp_profile=ConstantProfile(amp),
+                       label=b.label)
+             for b in intervals]
 
     spec = WalkingModelSpec(fs=fs, duration_s=duration, bouts=bouts,
                             noise_sd=0.0, noise_rho=rho)

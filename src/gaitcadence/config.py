@@ -30,7 +30,7 @@ class PipelineConfig:
     location: str = "other"
 
     def validate(self) -> "PipelineConfig":
-        for key, (name, parser) in _KEY_PARSERS.items():
+        for key, (name, parser, _) in SETTINGS.items():
             value = getattr(self, name)
             if parser is float and value is not None and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
@@ -92,19 +92,21 @@ class PipelineConfig:
         return (self.band_lo_hz, self.band_hi_hz)
 
 
-# Config-file key -> (field name, parser). CLI flags mirror the same keys.
-_KEY_PARSERS = {
-    "window_span_s": ("window_span_s", float),
-    "sigma": ("sigma", float),
-    "gamma": ("gamma", float),
-    "upsilon": ("upsilon", float),
-    "lambda": ("ridge_lambda", float),
-    "band_lo_hz": ("band_lo_hz", float),
-    "band_hi_hz": ("band_hi_hz", float),
-    "hop": ("hop", int),
-    "fft_pad": ("fft_pad", str),
-    "fs": ("fs", float),
-    "location": ("location", str),
+# The settings: config-file key -> (field name, parser, help). Each key is
+# also a CLI flag, ``--key-with-dashes``, except the band edges, which share
+# ``--band LO:HI`` (its help is on ``band_lo_hz``).
+SETTINGS = {
+    "window_span_s": ("window_span_s", float, "Analysis window span in seconds."),
+    "sigma": ("sigma", float, "Gaussian shape parameter on the normalized support."),
+    "gamma": ("gamma", float, "Soft-log power for the cepstral transform."),
+    "upsilon": ("upsilon", float, "Magnitude threshold for the reassignment rule."),
+    "lambda": ("ridge_lambda", float, "Ridge smoothness penalty."),
+    "band_lo_hz": ("band_lo_hz", float, "Fundamental search band in Hz (e.g. 0.3:2.5)."),
+    "band_hi_hz": ("band_hi_hz", float, None),
+    "hop": ("hop", int, "Frame hop in samples."),
+    "fft_pad": ("fft_pad", str, "DFT length 2M: 'auto' or an even integer."),
+    "fs": ("fs", float, "Sampling rate when the CSV lacks a time column."),
+    "location": ("location", str, "Sensor location tag."),
 }
 
 
@@ -120,9 +122,9 @@ def parse_config_file(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KEY_PARSERS:
+        if key not in SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        field_name, parser = _KEY_PARSERS[key]
+        field_name, parser, _ = SETTINGS[key]
         try:
             overrides[field_name] = parser(value)
         except ValueError:

@@ -119,9 +119,9 @@ def load_triaxial_csv(path, fs_hint: float | None = None,
                           location=location)
 
 
-def write_triaxial_csv(path, rec: TriaxialRecord, t0: float = 0.0):
+def write_triaxial_csv(path, rec: TriaxialRecord):
     path = Path(path)
-    t = t0 + np.arange(len(rec)) / rec.fs
+    t = np.arange(len(rec)) / rec.fs
     with path.open("w", newline="") as fh:
         fh.write("t,x,y,z\n")
         np.savetxt(fh, np.column_stack([t, rec.x, rec.y, rec.z]),
@@ -224,6 +224,11 @@ def write_bland_altman_csv(path, stats: BAStats, with_ci: bool = False):
 TFR_FORMATS = ("csv", "pgm", "f64le")
 
 
+def check_tfr_format(fmt: str):
+    if fmt not in TFR_FORMATS:
+        raise ParameterError(f"unknown TFR format {fmt!r}; expected {TFR_FORMATS}")
+
+
 def export_tfr(tfr: TFRGrid, path, fmt: str = "csv"):
     """Export a TFR magnitude matrix.
 
@@ -234,8 +239,7 @@ def export_tfr(tfr: TFRGrid, path, fmt: str = "csv"):
     matrix, row-major.
     """
     path = Path(path)
-    if fmt not in TFR_FORMATS:
-        raise ParameterError(f"unknown TFR format {fmt!r}; expected {TFR_FORMATS}")
+    check_tfr_format(fmt)
     mag = tfr.magnitude().astype(np.float64, copy=False)
     if fmt == "csv":
         with path.open("w", newline="") as fh:

@@ -21,8 +21,9 @@ import numpy as np
 from .analysis import BoutInterval, bout_cadence_summary
 from .config import PipelineConfig, config_as_dict
 from .errors import CadenceError, ConfigError, DataFormatError, ParameterError
-from .io import (check_bout_spans, export_tfr, load_labels_csv,
-                 load_triaxial_csv, write_summary_csv, write_trace_csv)
+from .io import (check_bout_spans, check_tfr_format, export_tfr,
+                 load_labels_csv, load_triaxial_csv, write_summary_csv,
+                 write_trace_csv)
 from .ridge import (CadenceTrace, RidgeCurve, band_to_bins, cadence_from_ridge,
                     check_band, ridge_dp)
 from .signal import Signal, TriaxialRecord, gaussian_window, median_detrend, \
@@ -46,6 +47,13 @@ class BoutAnalysis:
     grids: dict = field(default_factory=dict)
 
 
+def _check_kinds(kinds):
+    unknown = set(kinds).difference(GRID_KINDS)
+    if unknown:
+        raise ParameterError(
+            f"unknown grid kinds {sorted(unknown)}; expected {GRID_KINDS}")
+
+
 def preprocess(rec: TriaxialRecord, t0: float = 0.0) -> Signal:
     """Vector magnitude, running-median detrend, rectification."""
     mag = Signal(vector_magnitude(rec).samples, rec.fs, t0)
@@ -64,10 +72,7 @@ def analyze_signal(sig: Signal, cfg: PipelineConfig,
     unknown kind raises ``ParameterError``.
     """
     collect = set(collect)
-    unknown = collect.difference(GRID_KINDS)
-    if unknown:
-        raise ParameterError(
-            f"unknown grid kinds {sorted(unknown)}; expected {GRID_KINDS}")
+    _check_kinds(collect)
     K = cfg.window_half(sig.fs)
     M = cfg.fft_half(K)
     band = band_to_bins(cfg.band_hz, sig.fs, M)
@@ -102,7 +107,7 @@ class BoutOutcome:
     start_s: float
     end_s: float
     label: int
-    status: str  # ok | warning | error
+    status: str  # ok | error
     message: str = ""
     n_frames: int = 0
     mean_cadence_hz: float | None = None
@@ -197,20 +202,22 @@ def run_pipeline(cfg: PipelineConfig, input_csv, labels_csv, outdir,
     """Full pipeline over a recording: per bout, Step 0 through cadence.
 
     Writes ``cadence.csv``, ``summary.csv``, ``report.json``, and any
-    requested per-bout TFR exports into ``outdir``. A failing bout is
-    reported and skipped; the remaining bouts still run.
+    requested per-bout TFR exports into ``outdir``. An unknown export kind
+    or format raises ``ParameterError`` before anything is read. A failing
+    bout, including one whose band energy is all zero, is reported and
+    skipped; the remaining bouts still run.
     """
     t_start = time.perf_counter()
     export_kinds = tuple(dict.fromkeys(export_kinds))
+    _check_kinds(export_kinds)
+    check_tfr_format(export_format)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     rec = load_recording(cfg, input_csv)
     bouts = load_labels_csv(labels_csv)
-    warnings = check_bout_spans(bouts, cfg.window_span_s)
-    for msg in warnings:
-        logger.warning("%s", msg)
 
+    warnings = []
     outcomes = []
     outputs = []
     traces = []
@@ -220,23 +227,23 @@ def run_pipeline(cfg: PipelineConfig, input_csv, labels_csv, outdir,
         status, message, n_frames, mean_hz = "ok", "", 0, None
         try:
             sliced, t0, note = slice_record(rec, bout.start_s, bout.end_s)
-            if note:
-                # Recorded before the analysis, which may still fail.
-                msg = f"bout {idx} {note}"
+            analyzed = BoutInterval(t0, t0 + len(sliced) / rec.fs, bout.label)
+            notes = [f"bout {idx} {note}"] if note else []
+            notes += check_bout_spans([analyzed], cfg.window_span_s)
+            for msg in notes:  # recorded before the analysis, which may fail
                 logger.warning("%s", msg)
                 warnings.append(msg)
             analysis, ridge, trace = _analyze_slice(sliced, t0, cfg,
                                                     export_kinds)
+            if ridge.degenerate:
+                raise DataFormatError(
+                    "degenerate ridge: band energy is all zero")
             for kind in export_kinds:
                 out = outdir / f"tfr_bout{idx:02d}_{kind}.{export_format}"
                 export_tfr(analysis_grid(analysis, kind), out, export_format)
                 outputs.append(str(out))
             traces.append(trace)
             n_frames, mean_hz = len(trace), float(trace.cadence_hz.mean())
-            if ridge.degenerate:
-                status = "warning"
-                message = "degenerate ridge: band energy is all zero"
-                warnings.append(f"bout {idx}: {message}")
         except CadenceError as exc:
             logger.error("bout %d [%s, %s] failed: %s", idx, bout.start_s,
                          bout.end_s, exc)

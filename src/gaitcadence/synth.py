@@ -19,6 +19,7 @@ from .errors import ModelValidationError, ParameterError
 from .signal import Signal
 
 SHAPE_NORM_TOL = 1e-6
+SLOW_EPS = 0.1  # bound for the relative-variation checks (C2, C3)
 
 
 @dataclass
@@ -103,7 +104,6 @@ class WalkingModelSpec:
     bouts: list
     noise_sd: float = 0.0
     noise_rho: float = 0.0
-    slow_eps: float = 0.1  # bound for the relative-variation checks
 
     def n_samples(self) -> int:
         return int(round(self.duration_s * self.fs))
@@ -120,7 +120,7 @@ class SynthResult:
 
 
 def _validate_bout(bout: BoutModel, t: np.ndarray, phi_prime: np.ndarray,
-                   amp: np.ndarray, eps: float, steps: np.ndarray):
+                   amp: np.ndarray, steps: np.ndarray):
     if bout.end_s <= bout.start_s:
         raise ModelValidationError(
             f"bout [{bout.start_s}, {bout.end_s}] has nonpositive length"
@@ -131,7 +131,7 @@ def _validate_bout(bout: BoutModel, t: np.ndarray, phi_prime: np.ndarray,
         )
     if t.size >= 3:
         phi_second = np.gradient(phi_prime, t)
-        if np.any(np.abs(phi_second) > eps * phi_prime + 1e-12):
+        if np.any(np.abs(phi_second) > SLOW_EPS * phi_prime + 1e-12):
             raise ModelValidationError(
                 "C2 violated: |IF slope| exceeds eps * IF on the grid"
             )
@@ -139,7 +139,7 @@ def _validate_bout(bout: BoutModel, t: np.ndarray, phi_prime: np.ndarray,
         raise ModelValidationError("C3 violated: amplitude must stay positive")
     if t.size >= 3:
         amp_slope = np.gradient(amp, t)
-        if np.any(np.abs(amp_slope) > eps * phi_prime + 1e-12):
+        if np.any(np.abs(amp_slope) > SLOW_EPS * phi_prime + 1e-12):
             raise ModelValidationError(
                 "C3 violated: |amplitude slope| exceeds eps * IF on the grid"
             )
@@ -159,12 +159,13 @@ def _validate_bout(bout: BoutModel, t: np.ndarray, phi_prime: np.ndarray,
         )
 
 
-def ar1_noise(n: int, sd: float, rho: float, rng) -> np.ndarray:
+def ar1_noise(n: int, sd: float, rho: float,
+              rng: np.random.Generator) -> np.ndarray:
     """Stationary AR(1) noise with marginal standard deviation ``sd``.
 
     ``x[k] = rho * x[k-1] + e[k]`` with Gaussian innovations of variance
     ``sd^2 * (1 - rho^2)``; the first sample is drawn from the stationary
-    distribution. ``rng`` may be a seed or a ``numpy.random.Generator``.
+    distribution.
     """
     if n < 1:
         raise ParameterError(f"length must be >= 1, got {n}")
@@ -174,7 +175,6 @@ def ar1_noise(n: int, sd: float, rho: float, rng) -> np.ndarray:
         raise ParameterError(f"AR(1) coefficient must satisfy |rho| < 1, got {rho}")
     if sd == 0:
         return np.zeros(n)
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     innov_sd = sd * math.sqrt(1.0 - rho**2)
     x = np.empty(n)
     x[0] = rng.normal(0.0, sd)
@@ -221,7 +221,7 @@ def synthesize_walk(spec: WalkingModelSpec, seed: int = 0) -> SynthResult:
         amp = bout.amp_profile.sample(tb, bout.start_s, bout.end_s)
         # Trapezoid rule: the phase gained between consecutive samples.
         steps = np.diff(tb) * (phi_prime[1:] + phi_prime[:-1]) / 2.0
-        _validate_bout(bout, tb, phi_prime, amp, spec.slow_eps, steps)
+        _validate_bout(bout, tb, phi_prime, amp, steps)
         phase = bout.phase0 + np.concatenate([[0.0], np.cumsum(steps)])
         clean[mask] = amp * bout.shape.evaluate(phase)
         truth_if[mask] = phi_prime

@@ -11,7 +11,9 @@ import pytest
 
 import gaitcadence
 from gaitcadence.cli import main
+from gaitcadence.config import SETTINGS, PipelineConfig
 from gaitcadence.io import load_trace_csv, read_tfr_f64le
+from gaitcadence.pipeline import RunReport
 
 
 FAST_FLAGS = ["--window-span-s", "8"]
@@ -60,6 +62,30 @@ class TestSynth:
                      "--out-csv", str(tmp_path / "x.csv"),
                      "--out-labels", str(tmp_path / "y.csv")])
         assert code == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--bout", "2:26:9"],  # a label that run would reject
+        ["--bout", "2:26:1.5"],
+        ["--bout", "2::1"],
+        ["--bout", "2:26:1:1"],
+        ["--bout", "26:2"],
+        ["--bout", "2:inf"],
+        ["--bout", "2:20", "--bout", "10:26"],  # overlapping
+        ["--alphas", "0.5,x"],
+        ["--alphas", "0.5,,1.0"],
+        ["--alphas", ""],
+        ["--betas", "0.1"],  # two alphas by default
+        ["--betas", "0.1,y"],
+        ["--if-ramp", "0.9"],
+        ["--if-ramp", "0.9:x"],
+        ["--if-ramp", "0.9:1.0:1.1"],
+    ], ids=" ".join)
+    def test_bad_option_value_is_config_error(self, tmp_path, flags):
+        out_csv, out_labels = tmp_path / "x.csv", tmp_path / "y.csv"
+        code = main(["synth", "--duration", "28", "--fs", "50", *flags,
+                     "--out-csv", str(out_csv), "--out-labels", str(out_labels)])
+        assert code == 1
+        assert not out_csv.exists() and not out_labels.exists()
 
 
 class TestRun:
@@ -144,6 +170,15 @@ class TestRun:
         assert code == 1
         assert not (out / "cadence.csv").exists()
 
+    @pytest.mark.parametrize("band", ["0.3", "0.3:x", "0.3:1:2", ":", "a:b"])
+    def test_bad_band_is_config_error(self, synth_files, tmp_path, band):
+        _, csv_path, labels_path, _ = synth_files
+        out = tmp_path / "out"
+        code = main(["run", str(csv_path), str(labels_path), "-o", str(out),
+                     "--band", band] + FAST_FLAGS)
+        assert code == 1
+        assert not out.exists()
+
     def test_unknown_flag_is_usage_error(self):
         assert main(["run", "--frobnicate"]) == 1
 
@@ -205,6 +240,53 @@ class TestTfrCommand:
         assert code == 1
         assert calls == []
         assert not out.exists()
+
+
+# A value other than the default for every setting that has its own flag.
+SETTING_VALUES = {"window_span_s": "8", "sigma": "0.2", "gamma": "0.4",
+                  "upsilon": "1e-8", "lambda": "2", "hop": "5",
+                  "fft_pad": "4096", "fs": "50", "location": "wr"}
+
+
+class TestSettingFlags:
+    @pytest.fixture
+    def run_configs(self, monkeypatch, tmp_path):
+        """The config each ``run`` call hands to ``run_pipeline``."""
+        seen = []
+
+        def fake_run_pipeline(cfg, *args, **kwargs):
+            seen.append(cfg)
+            return RunReport(bouts=[], outputs=[], warnings=[], config={})
+
+        monkeypatch.setattr("gaitcadence.cli.run_pipeline", fake_run_pipeline)
+        return seen
+
+    def _run(self, tmp_path, flags):
+        return main(["run", "in.csv", "labels.csv", "-o", str(tmp_path / "out"),
+                     *flags])
+
+    @pytest.mark.parametrize(
+        "key", [k for k in SETTINGS if not k.startswith("band_")])
+    def test_flag_and_config_key_set_the_same_field(self, run_configs,
+                                                    tmp_path, key):
+        value = SETTING_VALUES[key]
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{key} = {value}\n")
+        assert self._run(tmp_path, ["--" + key.replace("_", "-"), value]) == 0
+        assert self._run(tmp_path, ["--config", str(cfg_file)]) == 0
+        from_flag, from_file = run_configs
+        assert from_flag == from_file
+        field = SETTINGS[key][0]
+        assert getattr(from_flag, field) != getattr(PipelineConfig(), field)
+
+    def test_band_flag_sets_both_band_keys(self, run_configs, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("band_lo_hz = 0.5\nband_hi_hz = 2\n")
+        assert self._run(tmp_path, ["--band", "0.5:2"]) == 0
+        assert self._run(tmp_path, ["--config", str(cfg_file)]) == 0
+        from_flag, from_file = run_configs
+        assert from_flag == from_file
+        assert from_flag.band_hz == (0.5, 2.0)
 
 
 class TestCompare:

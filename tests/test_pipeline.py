@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gaitcadence.analysis import BoutInterval
+from gaitcadence.cli import main
 from gaitcadence.config import PipelineConfig
 from gaitcadence.errors import DataFormatError, ParameterError
 from gaitcadence.io import load_trace_csv, write_labels_csv, write_triaxial_csv
@@ -165,6 +166,56 @@ class TestRunPipeline:
         loaded = json.loads((tmp_path / "out" / "report.json").read_text())
         assert [b["status"] for b in loaded["bouts"]] == ["ok", "error"]
         assert any("bout 2" in w and "clipped" in w for w in loaded["warnings"])
+
+    def test_short_clipped_bout_warns_on_its_analyzed_span(self, small_fixture,
+                                                          tmp_path):
+        # Bout 2 is labelled 22-40 s (18 s), but only 22-28 s is recorded.
+        csv_path, _ = small_fixture
+        labels = tmp_path / "labels_clipped.csv"
+        labels.write_text("start_s,end_s,label\n2,20,1\n22,40,1\n")
+        report = run_pipeline(fast_config(), csv_path, labels, tmp_path / "out")
+        short = [w for w in report.warnings if "analysis window" in w]
+        assert short == ["bout [22, 28] spans 6 s, shorter than the 8 s "
+                         "analysis window"]
+
+    @pytest.mark.parametrize("kw", [
+        dict(export_kinds=("stft",), export_format="npz"),
+        dict(export_kinds=("stft", "no-such-grid")),
+    ])
+    def test_unknown_export_option_fails_before_any_bout(self, small_fixture,
+                                                         tmp_path, kw):
+        csv_path, labels_path = small_fixture
+        with pytest.raises(ParameterError):
+            run_pipeline(fast_config(hop=10), csv_path, labels_path,
+                         tmp_path / "out", **kw)
+        assert not (tmp_path / "out").exists()
+
+    def test_degenerate_bout_fails_and_writes_no_frames(self, tmp_path):
+        # Bout 2 lies on a flat stretch: its search band has no energy.
+        _, res = make_walk(duration_s=60.0, bout=(2.0, 26.0), fs=50.0, seed=5)
+        rec = as_record(res)
+        rec.x[int(30 * 50.0):] = 1.5
+        csv_path = tmp_path / "rec.csv"
+        write_triaxial_csv(csv_path, rec)
+        both = tmp_path / "both.csv"
+        both.write_text("start_s,end_s,label\n2,26,1\n30,60,3\n")
+        first = tmp_path / "first.csv"
+        first.write_text("start_s,end_s,label\n2,26,1\n")
+
+        cfg = fast_config(hop=10)
+        report = run_pipeline(cfg, csv_path, both, tmp_path / "both",
+                              export_kinds=("stft",), export_format="f64le")
+        assert [(b.status, b.message, b.n_frames) for b in report.bouts[1:]] \
+            == [("error", "degenerate ridge: band energy is all zero", 0)]
+        assert report.bouts[0].status == "ok"
+        assert not (tmp_path / "both" / "tfr_bout02_stft.f64le").exists()
+        run_pipeline(cfg, csv_path, first, tmp_path / "first")
+        for name in ("cadence.csv", "summary.csv"):
+            assert ((tmp_path / "both" / name).read_bytes()
+                    == (tmp_path / "first" / name).read_bytes())
+        assert main(["run", str(csv_path), str(both), "-o",
+                     str(tmp_path / "cli"), "--window-span-s", "8",
+                     "--hop", "10"]) == 2
 
     def test_export_failure_leaves_no_frames(self, small_fixture, tmp_path,
                                              monkeypatch):

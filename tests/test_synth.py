@@ -172,7 +172,8 @@ class TestConditionChecks:
 
 class TestAr1Noise:
     def test_zero_sd_is_silent(self):
-        assert np.all(ar1_noise(100, 0.0, 0.5, 1) == 0.0)
+        assert np.all(ar1_noise(100, 0.0, 0.5, np.random.default_rng(1))
+                      == 0.0)
 
     def test_white_noise_lag1(self):
         n = 100_000
@@ -207,9 +208,9 @@ class TestAr1Noise:
 
     def test_rho_out_of_range_rejected(self):
         with pytest.raises(ParameterError):
-            ar1_noise(10, 1.0, 1.0, 0)
+            ar1_noise(10, 1.0, 1.0, np.random.default_rng(0))
         with pytest.raises(ParameterError):
-            ar1_noise(10, 1.0, -1.5, 0)
+            ar1_noise(10, 1.0, -1.5, np.random.default_rng(0))
 
 
 class TestSnrHelper:
