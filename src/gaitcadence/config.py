@@ -7,6 +7,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .signal import VALID_LOCATIONS
 
 
 @dataclass
@@ -59,6 +60,9 @@ class PipelineConfig:
                 raise ConfigError("explicit fft_pad must be an even integer >= 2")
         if self.fs is not None and self.fs <= 0:
             raise ConfigError("fs must be positive")
+        if self.location not in VALID_LOCATIONS:
+            raise ConfigError(f"unknown location {self.location!r}; "
+                              f"expected one of {VALID_LOCATIONS}")
         return self
 
     def window_half(self, fs: float) -> int:

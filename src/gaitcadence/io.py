@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,22 @@ def _fmt(x: float) -> str:
     return _FLOAT_FMT % x
 
 
+def _read_header(path: Path, reader, headers) -> list:
+    """The next CSV record of ``reader``, lowercased and stripped, which must
+    equal one of ``headers``."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataFormatError(f"{path}: file is empty") from None
+    names = [h.strip().lower() for h in header]
+    if names not in headers:
+        expected = " or ".join(repr(",".join(h)) for h in headers)
+        raise DataFormatError(
+            f"{path}: expected header {expected}, got {','.join(names)!r}"
+        )
+    return names
+
+
 def _read_rows(path: Path, headers, convert) -> tuple[list, list, list]:
     """Header, line numbers and converted data rows of a CSV file.
 
@@ -39,16 +56,7 @@ def _read_rows(path: Path, headers, convert) -> tuple[list, list, list]:
     linenos, values = [], []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: file is empty") from None
-        names = [h.strip().lower() for h in header]
-        if names not in headers:
-            expected = " or ".join(repr(",".join(h)) for h in headers)
-            raise DataFormatError(
-                f"{path}: expected header {expected}, got {','.join(names)!r}"
-            )
+        names = _read_header(path, reader, headers)
         width = len(names)
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -67,6 +75,30 @@ def _read_rows(path: Path, headers, convert) -> tuple[list, list, list]:
     return names, linenos, values
 
 
+def _parse_floats(path: Path, headers) -> tuple[list, np.ndarray | None]:
+    """Header and float rows of a numeric CSV, parsed in one vectorized pass.
+
+    The rows are ``None`` unless they all parse, there is at least one, each
+    has the header's width and every value is finite; the caller then
+    re-reads the file with ``_read_rows``, which names the offending line.
+    ``np.loadtxt`` converts with the C routine behind ``float()``, so it
+    gives the same doubles, but it rejects some spellings ``float()`` takes
+    (``1_0``, quoted fields, whitespace-only lines): those files take the
+    slow path too.
+    """
+    with path.open(newline="") as fh:
+        names = _read_header(path, csv.reader(fh), headers)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # "input contained no data"
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return names, None
+    if data.shape[0] and data.shape[1] == len(names) and np.isfinite(data).all():
+        return names, data
+    return names, None
+
+
 def load_triaxial_csv(path, fs_hint: float | None = None,
                       location: str = "other") -> TriaxialRecord:
     """Load a ``t,x,y,z`` (or ``x,y,z`` plus ``fs_hint``) CSV file.
@@ -76,22 +108,25 @@ def load_triaxial_csv(path, fs_hint: float | None = None,
     value must be finite.
     """
     path = Path(path)
-    names, linenos, values = _read_rows(
-        path, (["t", "x", "y", "z"], ["x", "y", "z"]),
-        lambda row: [float(v) for v in row])
+    headers = (["t", "x", "y", "z"], ["x", "y", "z"])
+    names, data = _parse_floats(path, headers)
+    if data is None:
+        names, linenos, values = _read_rows(
+            path, headers, lambda row: [float(v) for v in row])
     has_time = names[0] == "t"
     if not has_time and fs_hint is None:
         raise DataFormatError(
             f"{path}: no time column; a sampling rate is required"
         )
-    if not values:
-        raise DataFormatError(f"{path}: no data rows")
-    data = np.asarray(values)
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise DataFormatError(
-            f"{path}:{linenos[i]}: non-finite value in {values[i]!r}")
+    if data is None:
+        if not values:
+            raise DataFormatError(f"{path}: no data rows")
+        data = np.asarray(values)
+        finite = np.isfinite(data).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise DataFormatError(
+                f"{path}:{linenos[i]}: non-finite value in {values[i]!r}")
     if has_time:
         t = data[:, 0]
         dt = np.diff(t)
@@ -229,6 +264,36 @@ def check_tfr_format(fmt: str):
         raise ParameterError(f"unknown TFR format {fmt!r}; expected {TFR_FORMATS}")
 
 
+def _clip_level(mag: np.ndarray) -> np.float64:
+    """``np.quantile(mag, PGM_QUANTILE)``, bitwise, from one partition.
+
+    numpy's "linear" quantile interpolates between the order statistics
+    ``k = floor(v)`` and ``k + 1`` at the virtual index ``v = q (n - 1)``
+    with ``a + (b - a) t``, or ``b - (b - a)(1 - t)`` when ``t >= 0.5``,
+    and returns a NaN when the data hold one. It partitions on several
+    indices; one partition at ``k`` and the minimum above it give the same
+    two values. Equal values are bitwise equal except signed zeros: when
+    both are zeros, the result's sign follows where numpy's selection puts
+    each tied zero, so that case is left to ``np.quantile`` itself.
+    """
+    flat = mag.ravel()
+    v = (flat.size - 1) * PGM_QUANTILE
+    if flat.size == 1:
+        a = b = flat[0]
+        t = 1.0  # numpy reads both values at index -1: t = v - (-1)
+    else:
+        k = int(v)
+        part = np.partition(flat, k)
+        a, b = part[k], part[k + 1:].min()
+        t = v - k
+    if np.isnan(a) or np.isnan(b):
+        return a if np.isnan(a) else b
+    if a == 0 and b == 0:
+        return np.quantile(flat, PGM_QUANTILE)
+    d = b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t
+
+
 def export_tfr(tfr: TFRGrid, path, fmt: str = "csv"):
     """Export a TFR magnitude matrix.
 
@@ -249,11 +314,15 @@ def export_tfr(tfr: TFRGrid, path, fmt: str = "csv"):
                      "rows: frames\n")
             np.savetxt(fh, mag, fmt=_FLOAT_FMT, delimiter=",")
     elif fmt == "pgm":
-        q = float(np.quantile(mag, PGM_QUANTILE))
+        q = float(_clip_level(mag))
         if q <= 0:
             img = np.zeros(mag.shape, dtype=np.uint8)
         else:
-            img = np.round(255.0 * np.minimum(mag, q) / q).astype(np.uint8)
+            # 255 * min(mag, q) / q, in place in the fresh magnitude buffer.
+            np.minimum(mag, q, out=mag)
+            mag *= 255.0
+            mag /= q
+            img = np.round(mag, out=mag).astype(np.uint8)
         img = img.T[::-1, :]  # rows = frequency, top row = highest bin
         with path.open("wb") as fh:
             fh.write(f"P5 {img.shape[1]} {img.shape[0]} 255\n".encode("ascii"))

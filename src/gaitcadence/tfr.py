@@ -15,12 +15,13 @@ extension of each row of ``|V|^gamma`` (a type-I DCT of the row).
 The de-shape synchrosqueezing chain lives here once: ``dsst`` runs
 STFT pair -> cepstral mask -> de-shaped STFT -> reassignment -> squeeze over
 blocks of frames, and the pipeline calls it. It squeezes only the output
-columns something reads (the pipeline's search band, or every column when
-the dssst grid is kept), and de-shapes only the cells that land there; the
-full de-shaped STFT is never built unless asked for. The full-grid stage
-functions (``stft``, ``stct``, ``istct``, ``deshape``,
-``reassignment_operator``, ``synchrosqueeze``) apply the same row helpers
-to a whole grid and serve as the reference the kernel is tested against.
+columns something reads: the pipeline's search band, de-shaping only the
+cells that land there, or every column when the dssst grid is kept, in one
+scatter of every cell. The full de-shaped STFT grid is never kept unless
+asked for. The full-grid stage functions (``stft``, ``stct``, ``istct``,
+``deshape``, ``reassignment_operator``, ``synchrosqueeze``) apply the same
+row helpers to a whole grid and serve as the reference the kernel is tested
+against.
 """
 
 from __future__ import annotations
@@ -219,7 +220,11 @@ def _istct_interp_table(fft_half: int):
 
 def _istct_rows(ceps: np.ndarray, fft_half: int) -> np.ndarray:
     valid, col_lo, col_hi, weight = _istct_interp_table(fft_half)
-    u = ceps[:, col_lo] * (1.0 - weight) + ceps[:, col_hi] * weight
+    u = ceps[:, col_lo]
+    u *= 1.0 - weight
+    upper = ceps[:, col_hi]
+    upper *= weight
+    u += upper
     u[:, ~valid] = 0.0
     return u
 
@@ -309,35 +314,53 @@ def _squeeze_rows(src_rows: np.ndarray, omega_rows: np.ndarray, lo: int,
                   hi: int, ceps=None) -> np.ndarray:
     """Columns ``lo..hi`` of the squeezed rows, shape ``(n_rows, hi - lo + 1)``.
 
-    Only the cells whose rounded target lands in ``lo..hi`` are gathered,
-    so a narrow band reads a small share of the grid. ``np.flatnonzero``
-    keeps row-major order, so each target bin sums the same cells in the
-    same order as a squeeze of the whole grid and its columns are bitwise
-    equal.
-    With ``ceps``, each gathered ``src`` value is multiplied by the istct
-    mask of ``ceps`` at its cell, so ``W = V * mask`` is never built in full.
+    With ``ceps``, each ``src`` value is first multiplied by the istct mask
+    of ``ceps`` at its cell. Every column (``0..M``): each cell is weighted
+    through the row mask and scattered, and ``-inf`` or out-of-range targets
+    go to one dump bin past the end. A band: only the cells whose rounded
+    target lands in ``lo..hi`` are picked, so a narrow band reads a small
+    share of the grid, and the mask is evaluated at those cells only.
+    Either way ``np.bincount`` sums each bin's cells in row-major order, so
+    each target bin sums the same cells in the same order as a squeeze of
+    the whole grid and its columns are bitwise equal.
     This is a block's memory peak, and two blocks reach it at about the same
     time, so the cell-sized temporaries are updated in place and dropped
     once used.
     """
     n_rows, n_cols = omega_rows.shape
-    targets = np.rint(omega_rows).ravel()
-    cells = np.flatnonzero((targets >= lo) & (targets <= hi))
     width = hi - lo + 1
-    flat = (cells // n_cols) * width + (targets[cells].astype(np.int64) - lo)
-    del targets
-    weights = src_rows.ravel()[cells]
-    if ceps is not None:
-        weights *= _istct_cells(ceps, n_cols - 1, cells)
-    del cells
     size = n_rows * width
-    if np.iscomplexobj(weights):
-        out = np.empty(size, dtype=np.complex128)
-        out.real = np.bincount(flat, weights=weights.real, minlength=size)
-        out.imag = np.bincount(flat, weights=weights.imag, minlength=size)
+    targets = np.rint(omega_rows)
+    if width == n_cols:
+        weights = src_rows if ceps is None else src_rows * _istct_rows(
+            ceps, n_cols - 1)
+        keep = (targets >= 0) & (targets <= hi)  # false at -inf and nan
+        targets += np.arange(0, size, width, dtype=np.float64)[:, None]
+        targets[~keep] = size
+        del keep
+        flat = targets.astype(np.int64).ravel()
+        weights = weights.ravel()
     else:
-        out = np.bincount(flat, weights=weights, minlength=size)
-    return out.reshape(n_rows, width)
+        targets = targets.ravel()
+        cells = np.flatnonzero((targets >= lo) & (targets <= hi))
+        flat = (cells // n_cols) * width + (targets[cells].astype(np.int64) - lo)
+        weights = src_rows.ravel()[cells]
+        if ceps is not None:
+            weights *= _istct_cells(ceps, n_cols - 1, cells)
+        del cells
+    del targets
+    if np.iscomplexobj(weights):
+        # One pass over the interleaved parts: bin 2j sums the real parts of
+        # bin j's cells and bin 2j + 1 their imaginary parts, in cell order.
+        pairs = np.empty((flat.size, 2), dtype=np.int64)
+        np.multiply(flat, 2, out=pairs[:, 0])
+        del flat
+        np.add(pairs[:, 0], 1, out=pairs[:, 1])
+        out = np.bincount(pairs.ravel(), weights=weights.view(np.float64),
+                          minlength=2 * size + 2).view(np.complex128)
+    else:
+        out = np.bincount(flat, weights=weights, minlength=size + 1)
+    return out[:size].reshape(n_rows, width)
 
 
 def synchrosqueeze(src: TFRGrid, omega: OmegaMatrix) -> TFRGrid:
@@ -416,8 +439,8 @@ def dsst(s: Signal, w: Window, fft_half: int, hop: int, gamma: float,
     bout shorter than two full blocks still gives each worker half of it.
     Per block: STFT pair ``V``, ``V'`` -> cepstrum of ``|V|^gamma`` ->
     reassignment rule from ``V'/V`` -> ``W = V * mask`` squeezed into the
-    band, or into every column when the dssst grid is requested,
-    de-shaping only the cells that land there.
+    band, de-shaping only the cells that land there, or into every column
+    when the dssst grid is requested.
 
     Blocks run on a thread pool of ``_pool_size()`` workers, one core each,
     and each writes its own rows of the outputs, so the blocks may finish in

@@ -137,6 +137,17 @@ class TestRun:
                      "-o", str(tmp_path / "out"), "--config", str(cfg)])
         assert code == 1
 
+    def test_unknown_location_in_config_fails_before_output(self, synth_files,
+                                                            tmp_path):
+        _, csv_path, labels_path, _ = synth_files
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("location = foo\n")
+        out = tmp_path / "o"
+        code = main(["run", str(csv_path), str(labels_path),
+                     "-o", str(out), "--config", str(cfg)])
+        assert code == 1
+        assert not out.exists()
+
     def test_non_finite_lambda_is_config_error(self, synth_files, tmp_path):
         _, csv_path, labels_path, _ = synth_files
         out = tmp_path / "out"

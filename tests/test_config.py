@@ -91,6 +91,7 @@ class TestValidation:
         ("fft_pad", "12.5"),
         ("fft_pad", "999"),  # odd
         ("fs", -100.0),
+        ("location", "foo"),
     ] + [(field, value)
          for field in ("window_span_s", "sigma", "gamma", "upsilon",
                        "ridge_lambda", "band_lo_hz", "band_hi_hz", "fs")

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gaitcadence import io
 from gaitcadence.analysis import BoutInterval
 from gaitcadence.errors import DataFormatError
 from gaitcadence.io import (check_bout_spans, export_tfr, load_labels_csv,
@@ -73,6 +76,50 @@ class TestTriaxialCsv:
         assert len(back) == 50
         np.testing.assert_allclose(back.x, rec.x, rtol=1e-10)
         np.testing.assert_allclose(back.z, rec.z, rtol=1e-10)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                  min_size=3, max_size=3), min_size=1, max_size=8),
+           fmt=st.sampled_from(["%.12g", "repr"]),
+           eol=st.sampled_from(["\n", "\r\n"]),
+           blank=st.sampled_from([None, "", "   "]))
+    def test_fast_parse_equals_float_or_falls_back(self, tmp_path_factory, rows,
+                                                   fmt, eol, blank):
+        text = [[repr(v) if fmt == "repr" else fmt % v for v in row]
+                for row in rows]
+        lines = ["x,y,z"] + [",".join(row) for row in text]
+        if blank is not None:
+            lines.insert(len(lines) // 2 + 1, blank)
+        p = tmp_path_factory.mktemp("csv") / "rec.csv"
+        p.write_bytes((eol.join(lines) + eol).encode())
+        expected = np.array([[float(v) for v in row] for row in text])
+        names, data = io._parse_floats(p, (["x", "y", "z"],))
+        assert names == ["x", "y", "z"]
+        if blank != "   ":  # loadtxt reads a whitespace-only line as a field
+            assert data is not None
+        if data is not None:
+            assert data.tobytes() == expected.tobytes()
+        rec = load_triaxial_csv(p, fs_hint=50.0)
+        got = np.column_stack([rec.x, rec.y, rec.z])
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("field", ["1_0", '"10"'])
+    def test_spellings_only_float_reads_fall_back(self, tmp_path, field):
+        p = tmp_path / "rec.csv"
+        p.write_text(f"t,x,y,z\n0,1,2,3\n0.01,{field},2,3\n")
+        assert io._parse_floats(p, (["t", "x", "y", "z"],))[1] is None
+        rec = load_triaxial_csv(p)
+        assert rec.x.tolist() == [1.0, 10.0]
+
+    @pytest.mark.parametrize("text", ["t,x,y,z\n", "t,x,y,z\n\n\n",
+                                      "t,x,y,z\n0,1,2\n"])
+    def test_no_row_or_narrow_rows_fall_back(self, tmp_path, text):
+        p = tmp_path / "rec.csv"
+        p.write_text(text)
+        assert io._parse_floats(p, (["t", "x", "y", "z"],))[1] is None
+        with pytest.raises(DataFormatError, match="no data rows|:2: expected 4"):
+            load_triaxial_csv(p)
 
 
 class TestLabelsCsv:
@@ -229,6 +276,36 @@ class TestExportTfr:
         vals = np.frombuffer(pixels, dtype=np.uint8)
         assert vals.max() == 255
         assert np.mean(vals > 100) > 0.1  # scale set by the 99% quantile
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, 2.0, np.inf, -np.inf, np.nan]),
+        st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=1, max_size=60))
+    def test_clip_level_is_numpys_quantile(self, values):
+        a = np.array(values)
+        with np.errstate(invalid="ignore"):
+            want = np.float64(np.quantile(a, io.PGM_QUANTILE))
+            got = np.float64(io._clip_level(a.copy()))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [101, 4097, 37 * 4097])
+    def test_clip_level_on_grid_sized_input(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.exponential(size=n)
+        a[rng.uniform(size=n) < 0.3] = 0.0  # ties, as below-threshold cells
+        want = np.float64(np.quantile(a, io.PGM_QUANTILE))
+        assert np.float64(io._clip_level(a)).tobytes() == want.tobytes()
+
+    def test_pgm_pixels_follow_the_quantile_formula(self, tmp_path):
+        rng = np.random.default_rng(44)
+        mag = rng.integers(0, 50, size=(37, 29)).astype(float) / 7.0  # ties
+        p = tmp_path / "grid.pgm"
+        export_tfr(self.make_grid(mag), p, "pgm")
+        q = np.quantile(mag, io.PGM_QUANTILE)
+        img = np.round(255.0 * np.minimum(mag, q) / q).astype(np.uint8)
+        _, pixels = p.read_bytes().split(b"\n", 1)
+        assert pixels == img.T[::-1, :].tobytes()
 
     def test_f64le_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(43)

@@ -428,6 +428,59 @@ class TestSynchrosqueeze:
             synchrosqueeze(src, om)
 
 
+def squeeze_block(seed, M=16, n_rows=6):
+    """A complex block and its targets: ``-inf`` cells, the rounding edges
+    -0.5 and M + 0.5 (both land in the grid), and targets off either end."""
+    rng = np.random.default_rng(seed)
+    shape = (n_rows, M + 1)
+    v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    omega = rng.uniform(-3, M + 3, size=shape)
+    omega[rng.uniform(size=shape) < 0.2] = -np.inf
+    omega[0, :6] = [-0.5, M + 0.5, -0.51, M + 0.51, -1e9, 1e9]
+    omega[1, :2] = np.nan
+    return v, omega
+
+
+class TestSqueezeForms:
+    """The full-range scatter and the band gather are bitwise one squeeze."""
+
+    def tiled(self, src, omega, ceps=None):
+        M = omega.shape[1] - 1
+        return np.hstack([tfr._squeeze_rows(src, omega, 0, M - 1, ceps=ceps),
+                          tfr._squeeze_rows(src, omega, M, M, ceps=ceps)])
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_bands_tile_the_full_range(self, seed, masked):
+        v, omega = squeeze_block(seed)
+        M = v.shape[1] - 1
+        ceps = tfr._stct_rows(np.abs(v), 0.3) if masked else None
+        full = tfr._squeeze_rows(v, omega, 0, M, ceps=ceps)
+        assert full.shape == v.shape
+        assert full.tobytes() == self.tiled(v, omega, ceps).tobytes()
+        assert np.any(full != 0)
+        if not masked:  # the mask is zero at bins 0 and 1
+            assert full[0, 0] != 0 and full[0, M] != 0  # from -0.5 and M + 0.5
+
+    def test_real_source(self):
+        v, omega = squeeze_block(9)
+        src = np.abs(v)
+        full = tfr._squeeze_rows(src, omega, 0, v.shape[1] - 1)
+        assert full.dtype == np.float64
+        assert full.tobytes() == self.tiled(src, omega).tobytes()
+
+    @pytest.mark.parametrize("targets", ["none", "every cell"])
+    def test_all_zero_block_squeezes_to_positive_zeros(self, targets):
+        v = np.zeros((4, 17), dtype=np.complex128)
+        omega = np.full(v.shape, -np.inf)
+        if targets == "every cell":
+            omega[:] = np.arange(17.0)[::-1]
+        ceps = tfr._stct_rows(np.abs(v), 0.3)
+        full = tfr._squeeze_rows(v, omega, 0, 16, ceps=ceps)
+        assert full.tobytes() == np.zeros(v.shape, np.complex128).tobytes()
+        assert full.tobytes() == self.tiled(v, omega, ceps).tobytes()
+
+
 class TestHarmonicSuppressionInvariant:
     def test_band_mass_ratios_flip(self):
         # clean two-harmonic signal, alpha2 > alpha1: spectrogram band ratio
