@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -59,6 +60,21 @@ def _parse_option(option: str, form: str, text: str, sep: str, build):
             from None
 
 
+class _FiniteFloat(click.ParamType):
+    """A float flag that rejects NaN and infinities, naming the flag."""
+
+    name = "float"
+
+    def convert(self, value, param, ctx):
+        number = click.FLOAT.convert(value, param, ctx)
+        if not math.isfinite(number):
+            self.fail(f"{value!r} is not a finite number", param, ctx)
+        return number
+
+
+FINITE_FLOAT = _FiniteFloat()
+
+
 def _floats(*fields) -> list[float]:
     return [float(f) for f in fields]
 
@@ -111,14 +127,14 @@ def run(input_csv, labels_csv, outdir, export_kinds, export_format,
 
 
 @cli.command()
-@click.option("--duration", type=float, default=60.0, show_default=True,
+@click.option("--duration", type=FINITE_FLOAT, default=60.0, show_default=True,
               help="Total recording length in seconds.")
-@click.option("--fs", type=float, default=100.0, show_default=True,
+@click.option("--fs", type=FINITE_FLOAT, default=100.0, show_default=True,
               help="Sampling rate in Hz.")
 @click.option("--bout", "bout_specs", multiple=True, metavar="START:END[:LABEL]",
               help="Walking bout in seconds (repeatable); default spans "
                    "the whole recording.")
-@click.option("--if-hz", type=float, default=1.0, show_default=True,
+@click.option("--if-hz", type=FINITE_FLOAT, default=1.0, show_default=True,
               help="Constant instantaneous frequency in Hz.")
 @click.option("--if-ramp", type=str, default=None, metavar="LO:HI",
               help="Linear IF ramp across each bout (overrides --if-hz).")
@@ -127,15 +143,15 @@ def run(input_csv, labels_csv, outdir, export_kinds, export_format,
                    "rescaled to unit shape power.")
 @click.option("--betas", type=str, default=None,
               help="Comma-separated harmonic phases in radians.")
-@click.option("--alpha0", type=float, default=0.4, show_default=True,
+@click.option("--alpha0", type=FINITE_FLOAT, default=0.4, show_default=True,
               help="Shape mean level before normalization.")
-@click.option("--amp", type=float, default=1.0, show_default=True,
+@click.option("--amp", type=FINITE_FLOAT, default=1.0, show_default=True,
               help="Amplitude modulation level.")
-@click.option("--snr-db", type=float, default=10.0, show_default=True,
+@click.option("--snr-db", type=FINITE_FLOAT, default=10.0, show_default=True,
               help="AR(1) noise level as SNR against the in-bout signal.")
-@click.option("--rho", type=float, default=0.3, show_default=True,
+@click.option("--rho", type=FINITE_FLOAT, default=0.3, show_default=True,
               help="AR(1) coefficient.")
-@click.option("--baseline", type=float, default=1.5, show_default=True,
+@click.option("--baseline", type=FINITE_FLOAT, default=1.5, show_default=True,
               help="Constant x-axis offset standing in for gravity.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out-csv", type=click.Path(), default="synthetic.csv",

@@ -158,8 +158,12 @@ def slice_record(rec: TriaxialRecord, start_s=None,
     ``None`` stands for the start or end of the recording, and a range that
     runs past the recording is clipped to it. Returns the slice, the time of
     its first sample and a note saying that the range was clipped, or
-    ``""``; a range holding no sample raises ``DataFormatError``.
+    ``""``; a range holding no sample raises ``DataFormatError`` and a
+    non-finite bound ``ParameterError``.
     """
+    for name, bound in (("start", start_s), ("end", end_s)):
+        if bound is not None and not np.isfinite(bound):
+            raise ParameterError(f"{name} time must be finite, got {bound}")
     i0 = 0 if start_s is None else int(round(start_s * rec.fs))
     i1 = len(rec) if end_s is None else int(round(end_s * rec.fs))
     lo, hi = max(0, i0), min(len(rec), i1)

@@ -14,14 +14,14 @@ extension of each row of ``|V|^gamma`` (a type-I DCT of the row).
 
 The de-shape synchrosqueezing chain lives here once: ``dsst`` runs
 STFT pair -> cepstral mask -> de-shaped STFT -> reassignment -> squeeze over
-blocks of frames, and the pipeline calls it. It squeezes only the output
-columns something reads: the pipeline's search band, de-shaping only the
-cells that land there, or every column when the dssst grid is kept, in one
-scatter of every cell. The full de-shaped STFT grid is never kept unless
-asked for. The full-grid stage functions (``stft``, ``stct``, ``istct``,
-``deshape``, ``reassignment_operator``, ``synchrosqueeze``) apply the same
-row helpers to a whole grid and serve as the reference the kernel is tested
-against.
+blocks of frames, and the pipeline calls it. Each block runs each stage
+once, builds at most one de-shape mask and writes every kept grid in place.
+It squeezes only the output columns something reads: the pipeline's search
+band, de-shaping only the cells that land there, or every column when the
+dssst grid is kept, in one scatter of every cell. The full-grid stage
+functions (``stft``, ``stct``, ``istct``, ``deshape``,
+``reassignment_operator``, ``synchrosqueeze``) apply the same row helpers to
+a whole grid and serve as the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -160,17 +160,17 @@ def stft(s: Signal, w: Window, fft_half: int, hop: int = 1,
                    fft_half=fft_half, hop=hop, kind=KIND_STFT, t0=s.t0)
 
 
-def _stct_rows(stft_mag: np.ndarray, gamma: float) -> np.ndarray:
+def _stct_rows(stft_mag: np.ndarray, gamma: float, out=None) -> np.ndarray:
     """Cepstral rows of one block of STFT magnitudes (already nonnegative).
 
     Each row ``|V|^gamma`` holds bins ``0..M`` of a real, even ``2M``-point
     spectrum; its DFT is the rfft of the row's even extension (bins
     ``M - 1 .. 1`` mirrored after bin ``M``), whose real part is the
-    cepstrum. Negatives are clamped to zero.
+    cepstrum, clamped at zero and written into ``out`` when given.
     """
     n_rows, width = stft_mag.shape
     M = width - 1
-    out = np.empty((n_rows, width))
+    out = np.empty((n_rows, width)) if out is None else out
     extended = np.empty((min(n_rows, _STCT_ROWS), 2 * M))
     for i in range(0, n_rows, _STCT_ROWS):
         part = stft_mag[i : i + _STCT_ROWS]
@@ -218,10 +218,10 @@ def _istct_interp_table(fft_half: int):
     return valid, col_lo, col_hi, weight
 
 
-def _istct_rows(ceps: np.ndarray, fft_half: int) -> np.ndarray:
+def _istct_rows(ceps: np.ndarray, fft_half: int, out=None) -> np.ndarray:
+    """The de-shape mask of cepstral rows, written into ``out`` when given."""
     valid, col_lo, col_hi, weight = _istct_interp_table(fft_half)
-    u = ceps[:, col_lo]
-    u *= 1.0 - weight
+    u = np.multiply(ceps[:, col_lo], 1.0 - weight, out=out)
     upper = ceps[:, col_hi]
     upper *= weight
     u += upper
@@ -314,10 +314,9 @@ def _squeeze_rows(src_rows: np.ndarray, omega_rows: np.ndarray, lo: int,
                   hi: int, ceps=None) -> np.ndarray:
     """Columns ``lo..hi`` of the squeezed rows, shape ``(n_rows, hi - lo + 1)``.
 
-    With ``ceps``, each ``src`` value is first multiplied by the istct mask
-    of ``ceps`` at its cell. Every column (``0..M``): each cell is weighted
-    through the row mask and scattered, and ``-inf`` or out-of-range targets
-    go to one dump bin past the end. A band: only the cells whose rounded
+    Every column (``0..M``) of ``src`` as it is: each cell is scattered, and
+    ``-inf`` or out-of-range targets go to one dump bin past the end. A band,
+    or ``src`` times the istct mask of ``ceps``: only the cells whose rounded
     target lands in ``lo..hi`` are picked, so a narrow band reads a small
     share of the grid, and the mask is evaluated at those cells only.
     Either way ``np.bincount`` sums each bin's cells in row-major order, so
@@ -331,9 +330,8 @@ def _squeeze_rows(src_rows: np.ndarray, omega_rows: np.ndarray, lo: int,
     width = hi - lo + 1
     size = n_rows * width
     targets = np.rint(omega_rows)
-    if width == n_cols:
-        weights = src_rows if ceps is None else src_rows * _istct_rows(
-            ceps, n_cols - 1)
+    if width == n_cols and ceps is None:
+        weights = src_rows
         keep = (targets >= 0) & (targets <= hi)  # false at -inf and nan
         targets += np.arange(0, size, width, dtype=np.float64)[:, None]
         targets[~keep] = size
@@ -381,25 +379,29 @@ def synchrosqueeze(src: TFRGrid, omega: OmegaMatrix) -> TFRGrid:
 
 
 def _dsst_rows(v: np.ndarray, vd: np.ndarray, window_half: int,
-               fft_half: int, gamma: float, upsilon: float, cols,
-               kinds) -> dict:
-    """Stage magnitudes of one block from its STFT pair rows ``V``, ``V'``.
+               fft_half: int, gamma: float, upsilon: float, band,
+               band_rows: np.ndarray, out: dict) -> None:
+    """Fill one block's rows of ``band_mag`` (``band_rows``) and of each kept
+    grid (``out``: kind -> rows) from its STFT pair rows ``V``, ``V'``.
 
-    Runs on one core: the kernel computes blocks side by side instead.
+    Each stage runs once, on one core: the kernel computes blocks side by
+    side instead.
     """
-    vmag = np.abs(v)
-    ceps = _stct_rows(vmag, gamma)
+    vmag = np.abs(v, out=out.get(KIND_STFT))
+    ceps = _stct_rows(vmag, gamma, out=out.get(KIND_STCT))
     omega = _omega_rows(v, vd, vmag, upsilon, window_half, fft_half)
-    mags = {KIND_STFT: vmag, KIND_STCT: ceps,
-            KIND_DSSST: np.abs(_squeeze_rows(v, omega, *cols, ceps=ceps))}
-    if KIND_ISTCT in kinds or KIND_DSSTFT in kinds:
-        mask = _istct_rows(ceps, fft_half)
-        mags[KIND_ISTCT] = mask
-        if KIND_DSSTFT in kinds:
-            mags[KIND_DSSTFT] = np.abs(v * mask)
-    if KIND_SST in kinds:
-        mags[KIND_SST] = np.abs(_squeeze_rows(v, omega, 0, fft_half))
-    return mags
+    if out.keys() & {KIND_ISTCT, KIND_DSSTFT, KIND_DSSST}:
+        w = v * _istct_rows(ceps, fft_half, out=out.get(KIND_ISTCT))
+        if KIND_DSSTFT in out:
+            np.abs(w, out=out[KIND_DSSTFT])
+    if KIND_SST in out:
+        np.abs(_squeeze_rows(v, omega, 0, fft_half), out=out[KIND_SST])
+    if KIND_DSSST in out:
+        dssst = np.abs(_squeeze_rows(w, omega, 0, fft_half),
+                       out=out[KIND_DSSST])
+        band_rows[:] = dssst[:, band[0] : band[1] + 1]
+    else:
+        np.abs(_squeeze_rows(v, omega, *band, ceps=ceps), out=band_rows)
 
 
 def _pool_size() -> int:
@@ -437,10 +439,11 @@ def dsst(s: Signal, w: Window, fft_half: int, hop: int, gamma: float,
     The frames are split by ``_frame_blocks``: an even number of contiguous
     blocks of near-equal size, at most ``_CHUNK_FRAMES`` frames each, so a
     bout shorter than two full blocks still gives each worker half of it.
-    Per block: STFT pair ``V``, ``V'`` -> cepstrum of ``|V|^gamma`` ->
-    reassignment rule from ``V'/V`` -> ``W = V * mask`` squeezed into the
-    band, de-shaping only the cells that land there, or into every column
-    when the dssst grid is requested.
+    Per block, each stage runs once: STFT pair ``V``, ``V'`` -> cepstrum of
+    ``|V|^gamma`` -> reassignment rule from ``V'/V`` -> ``W = V * mask``
+    squeezed into the band, de-shaping only the cells that land there, or
+    into every column when the dssst grid is kept. A block builds at most
+    one mask and writes each kept grid's rows in place.
 
     Blocks run on a thread pool of ``_pool_size()`` workers, one core each,
     and each writes its own rows of the outputs, so the blocks may finish in
@@ -449,18 +452,15 @@ def dsst(s: Signal, w: Window, fft_half: int, hop: int, gamma: float,
     """
     frames = _frames(s.samples, w.K, hop)
     n = frames.shape[0]
-    lo, hi = band
-    cols = (0, fft_half) if KIND_DSSST in kinds else band
-    band_mag = np.empty((n, hi - lo + 1))
-    grids = {kind: np.empty((n, fft_half + 1)) for kind in kinds}
+    band_mag = np.empty((n, band[1] - band[0] + 1))
+    grids = {kind: np.empty((n, fft_half + 1)) for kind in GRID_KINDS
+             if kind in kinds}
 
     def block(rows):
         pair = (_stft_rows(frames[rows], taper, fft_half)
                 for taper in (w.h, w.dh))
-        mags = _dsst_rows(*pair, w.K, fft_half, gamma, upsilon, cols, kinds)
-        band_mag[rows] = mags[KIND_DSSST][:, lo - cols[0] : hi - cols[0] + 1]
-        for kind in kinds:
-            grids[kind][rows] = mags[kind]
+        _dsst_rows(*pair, w.K, fft_half, gamma, upsilon, band, band_mag[rows],
+                   {kind: grid[rows] for kind, grid in grids.items()})
 
     with ThreadPoolExecutor(_pool_size()) as pool:
         # Reading the results re-raises a failed block's error.

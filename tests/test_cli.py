@@ -87,6 +87,19 @@ class TestSynth:
         assert code == 1
         assert not out_csv.exists() and not out_labels.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("option", [
+        "--duration", "--fs", "--if-hz", "--alpha0", "--amp", "--snr-db",
+        "--rho", "--baseline"])
+    def test_non_finite_float_option_is_config_error(self, tmp_path, capsys,
+                                                     option, value):
+        out_csv, out_labels = tmp_path / "x.csv", tmp_path / "y.csv"
+        code = main(["synth", "--duration", "28", "--fs", "50", option, value,
+                     "--out-csv", str(out_csv), "--out-labels", str(out_labels)])
+        assert code == 1
+        assert f"'{option}'" in capsys.readouterr().err
+        assert not out_csv.exists() and not out_labels.exists()
+
 
 class TestRun:
     def test_full_run(self, synth_files, tmp_path):
@@ -222,6 +235,18 @@ class TestTfrCommand:
         code = main(["tfr", str(csv_path), "-o", str(tmp_path / "x.csv"),
                      "--start", "20", "--end", "10"])
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--start", "nan"], ["--start", "inf"], ["--end", "-inf"]],
+        ids=" ".join)
+    def test_non_finite_range_is_config_error(self, synth_files, tmp_path,
+                                              flags):
+        _, csv_path, _, _ = synth_files
+        out = tmp_path / "x.csv"
+        code = main(["tfr", str(csv_path), "-o", str(out), *flags]
+                    + FAST_FLAGS)
+        assert code == 1
+        assert not out.exists()
 
     def test_clipped_range_warns(self, synth_files, tmp_path, caplog):
         # The recording is 28 s long: 2-40 s is clipped to 2-28 s.

@@ -11,7 +11,8 @@ from gaitcadence.cli import main
 from gaitcadence.config import PipelineConfig
 from gaitcadence.errors import DataFormatError, ParameterError
 from gaitcadence.io import load_trace_csv, write_labels_csv, write_triaxial_csv
-from gaitcadence.pipeline import analyze_bout, analyze_signal, run_pipeline
+from gaitcadence.pipeline import (analyze_bout, analyze_signal, run_pipeline,
+                                  slice_record)
 from gaitcadence.synth import ConstantProfile
 
 from conftest import as_record, make_walk
@@ -82,6 +83,17 @@ class TestAnalyzeBout:
         with pytest.raises(ParameterError, match="bogus"):
             analyze_signal(res.signal, fast_config(hop=5),
                            collect=("dssst", "bogus"))
+
+
+class TestSliceRecord:
+    @pytest.mark.parametrize("start_s, end_s", [
+        (float("nan"), None), (float("inf"), None), (None, float("-inf")),
+        (2.0, float("nan")),
+    ])
+    def test_non_finite_bound_rejected(self, start_s, end_s):
+        _, res = make_walk(duration_s=28.0, bout=(2.0, 26.0), fs=50.0, seed=5)
+        with pytest.raises(ParameterError, match="must be finite"):
+            slice_record(as_record(res), start_s, end_s)
 
 
 class TestRunPipeline:

@@ -452,12 +452,16 @@ class TestSqueezeForms:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("masked", [False, True])
     def test_bands_tile_the_full_range(self, seed, masked):
+        # The full range squeezes W = V * mask; a band de-shapes its cells.
         v, omega = squeeze_block(seed)
         M = v.shape[1] - 1
         ceps = tfr._stct_rows(np.abs(v), 0.3) if masked else None
-        full = tfr._squeeze_rows(v, omega, 0, M, ceps=ceps)
+        src = v * tfr._istct_rows(ceps, M) if masked else v
+        full = tfr._squeeze_rows(src, omega, 0, M)
         assert full.shape == v.shape
         assert full.tobytes() == self.tiled(v, omega, ceps).tobytes()
+        gathered = tfr._squeeze_rows(v, omega, 0, M, ceps=ceps)
+        assert full.tobytes() == gathered.tobytes()
         assert np.any(full != 0)
         if not masked:  # the mask is zero at bins 0 and 1
             assert full[0, 0] != 0 and full[0, M] != 0  # from -0.5 and M + 0.5
@@ -476,7 +480,7 @@ class TestSqueezeForms:
         if targets == "every cell":
             omega[:] = np.arange(17.0)[::-1]
         ceps = tfr._stct_rows(np.abs(v), 0.3)
-        full = tfr._squeeze_rows(v, omega, 0, 16, ceps=ceps)
+        full = tfr._squeeze_rows(v * tfr._istct_rows(ceps, 16), omega, 0, 16)
         assert full.tobytes() == np.zeros(v.shape, np.complex128).tobytes()
         assert full.tobytes() == self.tiled(v, omega, ceps).tobytes()
 
@@ -616,6 +620,36 @@ class TestChunkedChain:
         for kind in GRID_KINDS:
             assert (analysis.grids[kind].tobytes()
                     == full[kind].magnitude().tobytes()), kind
+
+    @pytest.mark.parametrize("hop", [1, 3])
+    @pytest.mark.parametrize("kinds", [
+        ("stft",), ("istct-mask",), ("sst",), ("dsstft", "dssst"), GRID_KINDS,
+    ], ids=",".join)
+    def test_kept_grids_match_full_grid_chain(self, kinds, hop):
+        # Each block writes only the kept grids, so every subset is checked.
+        sig = walk_signal()
+        cfg = small_config(hop)
+        full = full_grid_chain(sig, cfg)
+        band_mag, grids = kernel(sig, cfg, (20, 60), kinds=kinds)
+        assert grids.keys() == set(kinds)
+        for kind in kinds:
+            assert grids[kind].tobytes() == full[kind].magnitude().tobytes(), kind
+        band = np.ascontiguousarray(full["dssst"].magnitude()[:, 20:61])
+        assert band_mag.tobytes() == band.tobytes()
+
+    def test_one_mask_per_block(self, monkeypatch):
+        sig = walk_signal()
+        mask_rows = []
+        istct_rows = tfr._istct_rows
+
+        def spy(ceps, *args, **kwargs):
+            mask_rows.append(ceps.shape[0])
+            return istct_rows(ceps, *args, **kwargs)
+
+        monkeypatch.setattr(tfr, "_istct_rows", spy)
+        kernel(sig, small_config(1), kinds=("istct-mask", "dsstft", "dssst"))
+        assert sorted(mask_rows) == sorted(
+            rows.stop - rows.start for rows in tfr._frame_blocks(len(sig)))
 
     @pytest.mark.parametrize("hop", [1, 3])
     @pytest.mark.parametrize("where", ["inner", "bin 0", "bin M"])
