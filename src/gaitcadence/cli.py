@@ -76,7 +76,10 @@ FINITE_FLOAT = _FiniteFloat()
 
 
 def _floats(*fields) -> list[float]:
-    return [float(f) for f in fields]
+    values = [float(f) for f in fields]
+    if not all(map(math.isfinite, values)):
+        raise ParameterError("every field must be a finite number")
+    return values
 
 
 def _build_config(config_path, band, **kw):
@@ -194,8 +197,14 @@ def synth(duration, fs, bout_specs, if_hz, if_ramp, alphas, betas, alpha0,
     spec = WalkingModelSpec(fs=fs, duration_s=duration, bouts=bouts,
                             noise_sd=0.0, noise_rho=rho)
     clean = synthesize_walk(spec, seed=seed)
-    spec.noise_sd = ar1_sd_for_snr(clean.clean.samples,
-                                   ~np.isnan(clean.truth_if), snr_db)
+    try:  # past about +-3080 dB the sd leaves the float range
+        spec.noise_sd = ar1_sd_for_snr(clean.clean.samples,
+                                       ~np.isnan(clean.truth_if), snr_db)
+    except (OverflowError, ZeroDivisionError):
+        spec.noise_sd = math.nan
+    if not 0 < spec.noise_sd < math.inf:
+        raise ConfigError(f"--snr-db {snr_db:g} needs a noise sd beyond the "
+                          "float range")
     result = synthesize_walk(spec, seed=seed)
 
     n = len(result.signal)

@@ -337,7 +337,7 @@ def export_tfr(tfr: TFRGrid, path, fmt: str = "csv"):
 
 
 def read_tfr_f64le(path) -> tuple[np.ndarray, dict]:
-    """Read back a matrix written by ``export_tfr(..., fmt='f64le')``."""
+    """``(matrix, meta)`` of an ``export_tfr(..., fmt='f64le')`` file."""
     path = Path(path)
     with path.open("rb") as fh:
         meta = json.loads(fh.readline().decode("ascii"))

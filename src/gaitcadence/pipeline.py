@@ -85,10 +85,10 @@ def analyze_signal(sig: Signal, cfg: PipelineConfig,
 
 def extract_bout_ridge(analysis: BoutAnalysis, penalty: float) -> RidgeCurve:
     """Penalized ridge over the full band-restricted analysis block."""
-    bins, objective, degenerate = ridge_dp(analysis.band_mag, penalty)
+    bins, degenerate = ridge_dp(analysis.band_mag, penalty)
     lo_bin, hi_bin = analysis.band_bins
     return RidgeCurve(bins=bins + lo_bin, band=(lo_bin, hi_bin),
-                      objective=objective, degenerate=degenerate)
+                      degenerate=degenerate)
 
 
 def analysis_grid(analysis: BoutAnalysis, kind: str) -> TFRGrid:

@@ -27,7 +27,6 @@ class RidgeCurve:
 
     bins: np.ndarray
     band: tuple[int, int]
-    objective: float
     degenerate: bool = False
 
     def __post_init__(self):
@@ -37,9 +36,6 @@ class RidgeCurve:
             raise StructuralError("ridge must cover at least one frame")
         if self.bins.min() < lo or self.bins.max() > hi:
             raise StructuralError("ridge leaves its search band")
-
-    def __len__(self) -> int:
-        return self.bins.size
 
 
 @dataclass
@@ -71,7 +67,8 @@ def ridge_dp(mag: np.ndarray, penalty: float):
     where ``Z`` is the total magnitude of the block and zero cells are
     floored at ``1e-12 * Z`` before the log. Ties, as rounded in the backward
     sums, resolve to the lowest bin front to back. Returns ``(bins,
-    objective, degenerate)`` with ``bins`` local to the block columns.
+    degenerate)``: the maximizing path in block-local columns (its value is
+    not computed), and whether the block is all zero, which gives bins 0.
 
     The backward pass keeps only values: row ``t`` of the log-score block is
     overwritten with the best sum from frame ``t`` on. A successor more than
@@ -92,10 +89,9 @@ def ridge_dp(mag: np.ndarray, penalty: float):
 
     total = mag.sum()
     if total <= 0:
-        return np.zeros(T, dtype=np.int64), -math.inf, True
+        return np.zeros(T, dtype=np.int64), True
 
-    zero_floor = ZERO_FLOOR_FRACTION * total
-    score = np.maximum(mag, zero_floor)
+    score = np.maximum(mag, ZERO_FLOOR_FRACTION * total)
     np.log(score, out=score)
     score -= np.log(total)
 
@@ -124,12 +120,7 @@ def ridge_dp(mag: np.ndarray, penalty: float):
     for t in range(1, T):
         prev = bins[t - 1]
         bins[t] = np.argmax(score[t] - jump[B - 1 - prev : 2 * B - 1 - prev])
-
-    path = np.log(np.maximum(mag[np.arange(T), bins], zero_floor))
-    path -= np.log(total)
-    objective = float(path.sum()
-                      - penalty * np.sum(np.diff(bins).astype(np.float64) ** 2))
-    return bins, objective, False
+    return bins, False
 
 
 def check_band(band_hz, fs: float) -> tuple[float, float]:

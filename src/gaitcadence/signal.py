@@ -41,10 +41,6 @@ class Signal:
         return self.samples.size
 
     @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.fs
-
-    @property
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(self.samples.size) / self.fs
 
@@ -105,9 +101,6 @@ class Window:
         if not np.isclose(self.h[self.K], 1.0):
             raise StructuralError("window center sample must equal 1")
 
-    def __len__(self) -> int:
-        return self.h.size
-
     @property
     def span(self) -> int:
         return 2 * self.K + 1
@@ -119,19 +112,17 @@ def vector_magnitude(rec: TriaxialRecord) -> Signal:
     return Signal(mag, rec.fs)
 
 
-def median_detrend(s: Signal, order: int | None = None) -> Signal:
-    """Subtract a running-median baseline from the signal.
+def median_detrend(s: Signal) -> Signal:
+    """Subtract a 10 s running-median baseline from the signal.
 
-    The window holds ``order`` samples centered on each output sample
-    (``ceil(order/2)`` at or left of center, ``floor(order/2)`` right of it)
-    and shrinks to the in-range samples near the edges. Even-count medians
-    average the two middle values, bit for bit as ``np.median`` does. One
-    pass slides a sorted list of the window along ``x.tolist()``, so each
-    step moves O(order) list entries. Default order is ``round(10 * fs)``.
+    The window holds ``order = round(10 * fs)`` samples centered on each
+    output sample (``ceil(order/2)`` at or left of center, ``floor(order/2)``
+    right of it) and shrinks to the in-range samples near the edges.
+    Even-count medians average the two middle values, bit for bit as
+    ``np.median`` does. One pass slides a sorted list of the window along
+    ``x.tolist()``, so each step moves O(order) list entries.
     """
-    if order is None:
-        order = int(round(10.0 * s.fs))
-    order = int(order)
+    order = int(round(10.0 * s.fs))
     if order < 1:
         raise ParameterError(f"median order must be >= 1, got {order}")
     x = s.samples

@@ -20,6 +20,9 @@ from .signal import Signal
 
 SHAPE_NORM_TOL = 1e-6
 SLOW_EPS = 0.1  # bound for the relative-variation checks (C2, C3)
+# Most samples a recording may have (46.6 h at 100 Hz): `synth` peaks at
+# about 140 B per sample, 2.4 GB at this bound (measured, 64-bit Linux).
+MAX_SAMPLES = 2**24
 
 
 @dataclass
@@ -106,7 +109,11 @@ class WalkingModelSpec:
     noise_rho: float = 0.0
 
     def n_samples(self) -> int:
-        return int(round(self.duration_s * self.fs))
+        count = self.duration_s * self.fs
+        if not count <= MAX_SAMPLES:
+            raise ParameterError(f"{self.duration_s:g} s at {self.fs:g} Hz "
+                                 f"is over {MAX_SAMPLES} samples")
+        return int(round(count))
 
 
 @dataclass

@@ -18,10 +18,10 @@ blocks of frames, and the pipeline calls it. Each block runs each stage
 once, builds at most one de-shape mask and writes every kept grid in place.
 It squeezes only the output columns something reads: the pipeline's search
 band, de-shaping only the cells that land there, or every column when the
-dssst grid is kept, in one scatter of every cell. The full-grid stage
-functions (``stft``, ``stct``, ``istct``, ``deshape``,
-``reassignment_operator``, ``synchrosqueeze``) apply the same row helpers to
-a whole grid and serve as the reference the kernel is tested against.
+dssst grid is kept, in one scatter of every cell. The full-grid stages
+(``stft``, ``stct``, ``istct``, ``deshape``, ``reassignment_operator``,
+``synchrosqueeze``) apply the kernel's own row helpers to a whole grid; the
+independent references are ``scipy.fft`` and the direct-sum STFT oracle.
 """
 
 from __future__ import annotations

@@ -91,7 +91,7 @@ def test_ridge_dp_exactness():
         T = int(rng.integers(1, 7))
         B = int(rng.integers(2, 9))
         mag = rng.uniform(0.0, 5.0, size=(T, B))
-        dp_bins, _, _ = ridge_dp(mag, penalty)
+        dp_bins, _ = ridge_dp(mag, penalty)
         ref_bins = enumerate_best_path(mag, penalty)
         assert np.array_equal(dp_bins, ref_bins), (
             f"path mismatch on block {i} (lambda={penalty})")

@@ -100,6 +100,40 @@ class TestSynth:
         assert f"'{option}'" in capsys.readouterr().err
         assert not out_csv.exists() and not out_labels.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("option,form", [
+        ("--alphas", "{},1"), ("--betas", "{},1"), ("--if-ramp", "{}:1")])
+    def test_non_finite_list_field_is_config_error(self, tmp_path, capsys,
+                                                   option, form, value):
+        out_csv, out_labels = tmp_path / "x.csv", tmp_path / "y.csv"
+        code = main(["synth", "--duration", "28", "--fs", "50",
+                     option, form.format(value),
+                     "--out-csv", str(out_csv), "--out-labels", str(out_labels)])
+        assert code == 1
+        assert f"error: {option} expects " in capsys.readouterr().err
+        assert not out_csv.exists() and not out_labels.exists()
+
+    @pytest.mark.parametrize("value", ["1e308", "-1e308"])
+    def test_snr_beyond_float_range_is_config_error(self, tmp_path, capsys,
+                                                    value):
+        # 10 ** (snr / 10) overflows at +1e308 and underflows to 0 at -1e308.
+        out_csv, out_labels = tmp_path / "x.csv", tmp_path / "y.csv"
+        code = main(["synth", "--duration", "28", "--fs", "50",
+                     "--snr-db", value,
+                     "--out-csv", str(out_csv), "--out-labels", str(out_labels)])
+        assert code == 1
+        assert "error: --snr-db " in capsys.readouterr().err
+        assert not out_csv.exists() and not out_labels.exists()
+
+    def test_too_many_samples_is_config_error(self, tmp_path, capsys):
+        # 2.8e10 samples: refused before the recording is allocated.
+        out_csv, out_labels = tmp_path / "x.csv", tmp_path / "y.csv"
+        code = main(["synth", "--fs", "1e9", "--duration", "28",
+                     "--out-csv", str(out_csv), "--out-labels", str(out_labels)])
+        assert code == 1
+        assert "28 s at 1e+09 Hz" in capsys.readouterr().err
+        assert not out_csv.exists() and not out_labels.exists()
+
 
 class TestRun:
     def test_full_run(self, synth_files, tmp_path):
@@ -194,7 +228,8 @@ class TestRun:
         assert code == 1
         assert not (out / "cadence.csv").exists()
 
-    @pytest.mark.parametrize("band", ["0.3", "0.3:x", "0.3:1:2", ":", "a:b"])
+    @pytest.mark.parametrize("band", ["0.3", "0.3:x", "0.3:1:2", ":", "a:b",
+                                      "nan:1"])
     def test_bad_band_is_config_error(self, synth_files, tmp_path, band):
         _, csv_path, labels_path, _ = synth_files
         out = tmp_path / "out"

@@ -157,6 +157,25 @@ class TestRunPipeline:
             r"signal spans 5 s, shorter than the 10 s running-median detrend "
             r"window \(250 < 500 samples\)", report.bouts[0].message)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: bout_cadence_summary pools frames by the label "
+        "bounds, but a bout's frames start at its slice's first sample, "
+        "about 4e-14 s before start_s with fs inferred from the CSV times, "
+        "so each bout's first frame is dropped or, next to another bout, "
+        "counted under that bout's label"))
+    def test_summary_counts_each_bouts_own_frames(self, small_fixture,
+                                                   tmp_path):
+        csv_path, _ = small_fixture
+        labels = tmp_path / "labels_adjacent.csv"
+        labels.write_text("start_s,end_s,label\n2.004,14.004,1\n14.004,26,3\n")
+        report = run_pipeline(fast_config(), csv_path, labels, tmp_path / "out")
+        assert [b.status for b in report.bouts] == ["ok", "ok"]
+        _, frame_labels = load_trace_csv(tmp_path / "out" / "cadence.csv")
+        rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]
+        n_frames = {int(r.split(",")[1]): int(r.split(",")[5]) for r in rows}
+        assert n_frames == {label: int(np.sum(frame_labels == label))
+                            for label in (1, 3)}
+
     def test_clipped_bout_warns(self, small_fixture, tmp_path):
         csv_path, labels_path = small_fixture
         labels = tmp_path / "labels_long.csv"
