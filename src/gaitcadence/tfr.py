@@ -4,7 +4,7 @@ The frequency axis of every grid has ``M + 1`` bins; bin ``m`` (zero-based)
 maps to ``m * fs / (2M)`` Hz. Frames advance by ``hop`` samples, so frame
 ``n`` (zero-based) sits at time ``t0 + n * hop / fs``. All transforms are
 pure and frames are independent, so the kernel splits a signal's frames
-into an even number of near-equal blocks of at most 256 frames and
+into an even number of near-equal blocks of at most 32 frames and
 computes them on a small thread pool itself, each block writing its own
 rows of the outputs, in whatever order the blocks finish.
 
@@ -44,14 +44,13 @@ KIND_SST = "sst"
 KIND_DSSST = "dssst"
 GRID_KINDS = (KIND_STFT, KIND_STCT, KIND_ISTCT, KIND_DSSTFT, KIND_SST, KIND_DSSST)
 
-# Most frames per block. A block's stage arrays are several frames x (M + 1)
-# grids (a tracemalloc peak of 88 MB at 256 frames and M = 4096), and up to
-# _MAX_IN_FLIGHT blocks exist at once, so two 256-frame blocks peak like
-# one 512-frame block (175 MB each).
-_CHUNK_FRAMES = 256
+# Most frames per block. A block's stage arrays peak at 11 MB under
+# tracemalloc at M = 4096, 14 MB with the full-width squeeze (85 and 109 MB
+# at 256 frames).
+_CHUNK_FRAMES = 32
 # Most worker threads, hence most blocks computed at once. Each block holds
 # its own stage arrays, so the kernel's memory beyond its outputs grows
-# linearly with this cap.
+# linearly with this cap: about 22 MB for two blocks at M = 4096.
 _MAX_IN_FLIGHT = 2
 # Rows per cepstrum sub-block. Sixteen rows' even extensions (2M floats
 # each, 1 MB at M = 4096) stay in cache between the mirror and the rfft;
@@ -131,12 +130,7 @@ def _frames(x: np.ndarray, K: int, hop: int) -> np.ndarray:
 def _stft_rows(frames: np.ndarray, taper: np.ndarray,
                fft_half: int) -> np.ndarray:
     """The ``fft_half + 1`` rfft columns of each tapered frame."""
-    # Padding here rather than with rfft's ``n`` frees a block-sized buffer
-    # that the block's later stages reuse; ``n`` took more page faults and
-    # read about 6 % slower on a 60 s hop-1 bout.
-    padded = np.zeros((frames.shape[0], 2 * fft_half))
-    np.multiply(frames, taper, out=padded[:, : taper.size])
-    return np.fft.rfft(padded, axis=1)
+    return np.fft.rfft(frames * taper, n=2 * fft_half, axis=1)
 
 
 def stft(s: Signal, w: Window, fft_half: int, hop: int = 1,
@@ -437,8 +431,9 @@ def dsst(s: Signal, w: Window, fft_half: int, hop: int, gamma: float,
     named in ``kinds`` to its full ``(n_frames, fft_half + 1)`` magnitudes.
 
     The frames are split by ``_frame_blocks``: an even number of contiguous
-    blocks of near-equal size, at most ``_CHUNK_FRAMES`` frames each, so a
-    bout shorter than two full blocks still gives each worker half of it.
+    blocks of near-equal size, at most ``_CHUNK_FRAMES`` frames each, so the
+    memory beyond the outputs does not grow with the bout, and a bout shorter
+    than two full blocks still gives each worker half of it.
     Per block, each stage runs once: STFT pair ``V``, ``V'`` -> cepstrum of
     ``|V|^gamma`` -> reassignment rule from ``V'/V`` -> ``W = V * mask``
     squeezed into the band, de-shaping only the cells that land there, or
@@ -450,6 +445,11 @@ def dsst(s: Signal, w: Window, fft_half: int, hop: int, gamma: float,
     any order and every row is bitwise equal to a serial computation. An
     error in a block is raised here, after the pool has shut down.
     """
+    # Freeing an mmapped chunk raises glibc's trim threshold to twice its size
+    # (mallopt(3)). Below a block's stage arrays, freed blocks go back to the
+    # system and fault in again (~240k minor faults per 30 s hop-1 bout); this
+    # untouched 16 MiB array lifts it. Other allocators just map and unmap it.
+    np.empty(2**24, dtype=np.uint8)
     frames = _frames(s.samples, w.K, hop)
     n = frames.shape[0]
     band_mag = np.empty((n, band[1] - band[0] + 1))

@@ -1,7 +1,13 @@
 """Time-frequency transforms against direct-summation oracles."""
 
 import itertools
+import os
+import platform
+import subprocess
+import sys
 import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +15,12 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gaitcadence
 from gaitcadence import tfr
 from gaitcadence.config import PipelineConfig
 from gaitcadence.errors import ParameterError, StructuralError
 from gaitcadence.pipeline import analyze_signal
+from gaitcadence.ridge import band_to_bins
 from gaitcadence.signal import Signal, gaussian_window
 from gaitcadence.synth import WaveShape
 from gaitcadence.tfr import GRID_KINDS
@@ -587,9 +595,11 @@ class TestFrameBlocks:
             assert len(blocks) % tfr._MAX_IN_FLIGHT == 0
 
     @pytest.mark.parametrize("n, sizes", [
-        (1, [1]), (255, [127, 128]), (360, [180, 180]), (6000, [250] * 24)])
+        (1, [1]), (255, [31] + [32] * 7), (360, [30] * 12),
+        (6000, [31] * 16 + [32] * 172)])
     def test_known_layouts(self, n, sizes):
-        assert [rows.stop - rows.start for rows in tfr._frame_blocks(n)] == sizes
+        got = [rows.stop - rows.start for rows in tfr._frame_blocks(n)]
+        assert sorted(got) == sizes
 
     @pytest.mark.parametrize("n_frames", [100, 1600])
     def test_layout_does_not_depend_on_pool_size(self, n_frames, monkeypatch):
@@ -603,7 +613,7 @@ class TestFrameBlocks:
         assert layouts[1] == layouts[2] == expected
 
     def test_short_bout_yields_two_blocks(self, monkeypatch):
-        n = tfr._CHUNK_FRAMES - 56
+        n = tfr._CHUNK_FRAMES - 7
         sizes = block_sizes(walk_signal(n=n), small_config(1), monkeypatch)
         assert sizes == [n // 2, n - n // 2]
 
@@ -611,7 +621,7 @@ class TestFrameBlocks:
 class TestChunkedChain:
     @pytest.mark.parametrize("hop", [1, 3])
     def test_matches_full_grid_chain(self, hop):
-        # 1600 and 534 frames: eight blocks of 200 and four of 133 or 134
+        # 1600 and 534 frames: 50 blocks of 32 and 18 of 29 or 30
         sig = walk_signal()
         cfg = small_config(hop)
         analysis = analyze_signal(sig, cfg, collect=GRID_KINDS)
@@ -667,12 +677,14 @@ class TestChunkedChain:
         assert np.any(got > 0)
 
     def test_block_with_no_cell_in_range_is_zero(self):
-        # Block 2's frames see only zeros, so none of its cells is reassigned.
+        # A middle block's frames see only zeros, so none of its cells is
+        # reassigned.
         sig = walk_signal()
         cfg = small_config(1)
         K = cfg.window_half(sig.fs)
-        second = tfr._frame_blocks(len(sig))[1]
-        a, b = second.start, second.stop
+        blocks = tfr._frame_blocks(len(sig))
+        middle = blocks[len(blocks) // 2]
+        a, b = middle.start, middle.stop
         sig.samples[a - K : b + K] = 0.0
         chain = full_grid_chain(sig, cfg)
         assert not np.any(chain["omega"].finite_mask[a:b])
@@ -683,10 +695,11 @@ class TestChunkedChain:
 
     @pytest.mark.parametrize("hop", [1, 3])
     def test_pool_size_does_not_change_rows(self, hop, monkeypatch):
-        # 1600 and 534 frames: more blocks than workers either way.
-        sig = walk_signal()
+        # 1590 and 530 frames: more blocks than workers either way, and
+        # blocks of two sizes.
+        sig = walk_signal(n=1590)
         cfg = small_config(hop)
-        n_frames = -(-1600 // hop)
+        n_frames = -(-1590 // hop)
         assert n_frames % tfr._CHUNK_FRAMES != 0
         assert len(tfr._frame_blocks(n_frames)) > 2
         runs = {}
@@ -741,3 +754,62 @@ class TestChunkedChain:
         lo, hi = plain.band_bins
         assert (np.ascontiguousarray(collected.grids["dssst"][:, lo : hi + 1])
                 .tobytes() == plain.band_mag.tobytes())
+
+
+# Minor page faults of the first and second analysis of a 30 s hop-1 bout.
+FAULTS_PER_CALL = """
+import resource
+import numpy as np
+from gaitcadence.config import PipelineConfig
+from gaitcadence.pipeline import analyze_signal
+from gaitcadence.signal import Signal
+
+rng = np.random.default_rng(8)
+t = np.arange(3000) / 100.0
+x = np.cos(2 * np.pi * t) + 0.3 * rng.normal(size=t.size)
+sig = Signal(np.abs(x), 100.0)
+cfg = PipelineConfig().validate()
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    analyze_signal(sig, cfg)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestKernelMemory:
+    def test_memory_beyond_band_mag_does_not_grow_with_the_bout(self):
+        # Default configuration, hop 1, 100 Hz: blocks of 32 frames x 4097
+        # bins, two at a time, hold ~21 MB of stage arrays at the peak.
+        # Blocks of 256 frames peaked at ~170 MB on the 60 s bout.
+        cfg = PipelineConfig().validate()
+        peaks, band_bytes = {}, {}
+        for seconds in (30, 60):
+            sig = walk_signal(n=seconds * 100, fs=100.0)
+            M = cfg.fft_half(cfg.window_half(sig.fs))
+            band = band_to_bins(cfg.band_hz, sig.fs, M)
+            tracemalloc.start()
+            try:
+                band_mag, _ = kernel(sig, cfg, band)
+                _, peaks[seconds] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            band_bytes[seconds] = band_mag.nbytes
+        assert peaks[60] < 48e6
+        assert peaks[60] - peaks[30] < band_bytes[60] - band_bytes[30] + 2**21
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="counts how glibc's arenas reuse freed pages")
+    def test_blocks_reuse_freed_pages_from_the_first_call(self):
+        # A fresh interpreter, so no earlier test has moved glibc's
+        # thresholds. Measured: about 6k and at most 2.7k faults; 240k and
+        # 100k-195k when freed blocks go back to the system and every block
+        # faults its pages in again; 38k and 28k-39k with 256-frame blocks.
+        src = str(Path(gaitcadence.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", FAULTS_PER_CALL],
+                             capture_output=True, text=True, check=True,
+                             env=env, timeout=120)
+        first, second = map(int, out.stdout.split())
+        assert first < 20_000
+        assert second < 10_000
