@@ -127,6 +127,13 @@ def _frames(x: np.ndarray, K: int, hop: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(padded, 2 * K + 1)[::hop]
 
 
+def _check_dft_length(w: Window, fft_half: int) -> None:
+    """Reject a DFT too short to hold the ``2K + 1``-sample window."""
+    if 2 * fft_half < w.span:
+        raise ParameterError(f"DFT length {2 * fft_half} shorter than "
+                             f"window span {w.span}")
+
+
 def _stft_rows(frames: np.ndarray, taper: np.ndarray,
                fft_half: int) -> np.ndarray:
     """The ``fft_half + 1`` rfft columns of each tapered frame."""
@@ -144,10 +151,7 @@ def stft(s: Signal, w: Window, fft_half: int, hop: int = 1,
     window start, matching a plain zero-padded FFT of each tapered frame.
     """
     fft_half = int(fft_half)
-    if 2 * fft_half < w.span:
-        raise ParameterError(
-            f"DFT length {2 * fft_half} shorter than window span {w.span}"
-        )
+    _check_dft_length(w, fft_half)
     taper = w.dh if derivative else w.h
     frames = _frames(s.samples, w.K, hop)
     return TFRGrid(_stft_rows(frames, taper, fft_half), fs=s.fs,
@@ -445,11 +449,7 @@ def dsst(s: Signal, w: Window, fft_half: int, hop: int, gamma: float,
     any order and every row is bitwise equal to a serial computation. An
     error in a block is raised here, after the pool has shut down.
     """
-    # Freeing an mmapped chunk raises glibc's trim threshold to twice its size
-    # (mallopt(3)). Below a block's stage arrays, freed blocks go back to the
-    # system and fault in again (~240k minor faults per 30 s hop-1 bout); this
-    # untouched 16 MiB array lifts it. Other allocators just map and unmap it.
-    np.empty(2**24, dtype=np.uint8)
+    _check_dft_length(w, fft_half)
     frames = _frames(s.samples, w.K, hop)
     n = frames.shape[0]
     band_mag = np.empty((n, band[1] - band[0] + 1))

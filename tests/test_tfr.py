@@ -1,13 +1,8 @@
 """Time-frequency transforms against direct-summation oracles."""
 
 import itertools
-import os
-import platform
-import subprocess
-import sys
 import threading
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +10,6 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import gaitcadence
 from gaitcadence import tfr
 from gaitcadence.config import PipelineConfig
 from gaitcadence.errors import ParameterError, StructuralError
@@ -596,10 +590,9 @@ class TestFrameBlocks:
 
     @pytest.mark.parametrize("n, sizes", [
         (1, [1]), (255, [31] + [32] * 7), (360, [30] * 12),
-        (6000, [31] * 16 + [32] * 172)])
+        (6000, ([31] + [32] * 10 + ([31] + [32] * 11) * 3) * 4)])
     def test_known_layouts(self, n, sizes):
-        got = [rows.stop - rows.start for rows in tfr._frame_blocks(n)]
-        assert sorted(got) == sizes
+        assert [rows.stop - rows.start for rows in tfr._frame_blocks(n)] == sizes
 
     @pytest.mark.parametrize("n_frames", [100, 1600])
     def test_layout_does_not_depend_on_pool_size(self, n_frames, monkeypatch):
@@ -728,6 +721,12 @@ class TestChunkedChain:
         for kind in kinds:
             assert rev_grids[kind].tobytes() == grids[kind].tobytes(), kind
 
+    def test_window_longer_than_dft_rejected(self):
+        # rfft's ``n`` would cut each 41-sample frame to 38 without a word.
+        s = Signal(np.zeros(50), fs=10.0)
+        with pytest.raises(ParameterError, match="shorter than window span"):
+            dsst(s, gaussian_window(20, 0.15), 19, 1, 0.3, 1e-3, (0, 19))
+
     def test_error_in_a_block_propagates_and_stops_the_pool(self, monkeypatch):
         monkeypatch.setattr(tfr, "_pool_size", lambda: 2)
         calls = itertools.count()
@@ -756,26 +755,6 @@ class TestChunkedChain:
                 .tobytes() == plain.band_mag.tobytes())
 
 
-# Minor page faults of the first and second analysis of a 30 s hop-1 bout.
-FAULTS_PER_CALL = """
-import resource
-import numpy as np
-from gaitcadence.config import PipelineConfig
-from gaitcadence.pipeline import analyze_signal
-from gaitcadence.signal import Signal
-
-rng = np.random.default_rng(8)
-t = np.arange(3000) / 100.0
-x = np.cos(2 * np.pi * t) + 0.3 * rng.normal(size=t.size)
-sig = Signal(np.abs(x), 100.0)
-cfg = PipelineConfig().validate()
-for _ in range(2):
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    analyze_signal(sig, cfg)
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
-
-
 class TestKernelMemory:
     def test_memory_beyond_band_mag_does_not_grow_with_the_bout(self):
         # Default configuration, hop 1, 100 Hz: blocks of 32 frames x 4097
@@ -796,20 +775,3 @@ class TestKernelMemory:
             band_bytes[seconds] = band_mag.nbytes
         assert peaks[60] < 48e6
         assert peaks[60] - peaks[30] < band_bytes[60] - band_bytes[30] + 2**21
-
-    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
-                        reason="counts how glibc's arenas reuse freed pages")
-    def test_blocks_reuse_freed_pages_from_the_first_call(self):
-        # A fresh interpreter, so no earlier test has moved glibc's
-        # thresholds. Measured: about 6k and at most 2.7k faults; 240k and
-        # 100k-195k when freed blocks go back to the system and every block
-        # faults its pages in again; 38k and 28k-39k with 256-frame blocks.
-        src = str(Path(gaitcadence.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run([sys.executable, "-c", FAULTS_PER_CALL],
-                             capture_output=True, text=True, check=True,
-                             env=env, timeout=120)
-        first, second = map(int, out.stdout.split())
-        assert first < 20_000
-        assert second < 10_000
