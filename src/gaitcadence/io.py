@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
 import warnings
 from pathlib import Path
 
@@ -264,32 +265,67 @@ def check_tfr_format(fmt: str):
         raise ParameterError(f"unknown TFR format {fmt!r}; expected {TFR_FORMATS}")
 
 
-def _clip_level(mag: np.ndarray) -> np.float64:
-    """``np.quantile(mag, PGM_QUANTILE)``, bitwise, from one partition.
+# Bytes of one row chunk of float64 magnitudes: an export holds one chunk
+# at a time (plus the uint8 image for a PGM), whatever the grid's size.
+_EXPORT_CHUNK_BYTES = 2 << 20
+
+
+def _magnitude_chunks(values: np.ndarray):
+    """``(first_row, |rows|)`` over successive row chunks of ``values``, the
+    magnitudes as little-endian float64 in one reused buffer."""
+    n_rows, n_bins = values.shape
+    step = max(1, _EXPORT_CHUNK_BYTES // (8 * n_bins))
+    buf = np.empty((min(step, n_rows), n_bins), dtype="<f8")
+    for i in range(0, n_rows, step):
+        chunk = buf[: min(step, n_rows - i)]
+        np.abs(values[i : i + step], out=chunk)
+        yield i, chunk
+
+
+def _clip_level(values: np.ndarray) -> np.float64:
+    """``np.quantile(np.abs(values), PGM_QUANTILE)``, bitwise, one row chunk
+    at a time.
 
     numpy's "linear" quantile interpolates between the order statistics
     ``k = floor(v)`` and ``k + 1`` at the virtual index ``v = q (n - 1)``
     with ``a + (b - a) t``, or ``b - (b - a)(1 - t)`` when ``t >= 0.5``,
-    and returns a NaN when the data hold one. It partitions on several
-    indices; one partition at ``k`` and the minimum above it give the same
-    two values. Equal values are bitwise equal except signed zeros: when
-    both are zeros, the result's sign follows where numpy's selection puts
-    each tied zero, so that case is left to ``np.quantile`` itself.
+    and returns a NaN when the data hold one. Both values are among the
+    top ``n - k`` magnitudes. So each chunk keeps only its values above the
+    least one kept so far, at most its top ``n - k`` by one partition in
+    place, and the kept values are cut back to the top ``n - k`` whenever
+    they reach twice that. ``np.partition`` sorts NaN last, as numpy's
+    quantile does, so a NaN is always kept. Equal values are bitwise equal
+    except signed zeros, and magnitudes hold no -0.0, so two tied zeros
+    interpolate to numpy's +0.0.
     """
-    flat = mag.ravel()
-    v = (flat.size - 1) * PGM_QUANTILE
-    if flat.size == 1:
-        a = b = flat[0]
+    n = values.size
+    v = (n - 1) * PGM_QUANTILE
+    k = int(v)
+    keep = n - k
+    parts, held, least = [], 0, None
+    for _, mag in _magnitude_chunks(values):
+        flat = mag.ravel()
+        if least is not None:
+            flat = flat[~(flat <= least)]
+        if flat.size > keep:
+            flat.partition(flat.size - keep)
+            flat = flat[-keep:]
+        parts.append(flat.copy())
+        held += flat.size
+        if held >= 2 * keep:
+            top = np.concatenate(parts)
+            top.partition(held - keep)
+            parts, held, least = [top[held - keep :]], keep, top[held - keep]
+    top = np.concatenate(parts)
+    top.partition(held - keep)
+    if n == 1:
+        a = b = top[0]
         t = 1.0  # numpy reads both values at index -1: t = v - (-1)
     else:
-        k = int(v)
-        part = np.partition(flat, k)
-        a, b = part[k], part[k + 1:].min()
+        a, b = top[held - keep], top[held - keep + 1 :].min()
         t = v - k
     if np.isnan(a) or np.isnan(b):
         return a if np.isnan(a) else b
-    if a == 0 and b == 0:
-        return np.quantile(flat, PGM_QUANTILE)
     d = b - a
     return b - d * (1 - t) if t >= 0.5 else a + d * t
 
@@ -302,45 +338,68 @@ def export_tfr(tfr: TFRGrid, path, fmt: str = "csv"):
     highest bin on top, intensities clipped at the 99% magnitude quantile.
     ``f64le``: one JSON metadata line then the raw little-endian float64
     matrix, row-major.
+
+    The magnitudes are streamed in row chunks of about 2 MB, so an export
+    holds one chunk at a time, plus the uint8 image for a PGM, whatever the
+    grid's size. A PGM reads the grid twice: once for its clip level, once
+    for its pixels.
     """
     path = Path(path)
     check_tfr_format(fmt)
-    mag = tfr.magnitude().astype(np.float64, copy=False)
+    values = tfr.values
+    n_frames, n_bins = values.shape
     if fmt == "csv":
         with path.open("w", newline="") as fh:
             fh.write(f"# kind={tfr.kind} fs={_fmt(tfr.fs)} fft_half={tfr.fft_half} "
-                     f"hop={tfr.hop} t0={_fmt(tfr.t0)} n_frames={mag.shape[0]}\n")
+                     f"hop={tfr.hop} t0={_fmt(tfr.t0)} n_frames={n_frames}\n")
             fh.write("# columns: frequency bins 0..M at m*fs/(2M) Hz; "
                      "rows: frames\n")
-            np.savetxt(fh, mag, fmt=_FLOAT_FMT, delimiter=",")
+            # np.savetxt's lines, formatted from Python floats: a numpy
+            # scalar per cell costs more than the formatting.
+            line = ",".join([_FLOAT_FMT] * n_bins) + "\n"
+            for _, mag in _magnitude_chunks(values):
+                for row in mag:
+                    fh.write(line % tuple(row.tolist()))
     elif fmt == "pgm":
-        q = float(_clip_level(mag))
-        if q <= 0:
-            img = np.zeros(mag.shape, dtype=np.uint8)
-        else:
-            # 255 * min(mag, q) / q, in place in the fresh magnitude buffer.
-            np.minimum(mag, q, out=mag)
-            mag *= 255.0
-            mag /= q
-            img = np.round(mag, out=mag).astype(np.uint8)
-        img = img.T[::-1, :]  # rows = frequency, top row = highest bin
+        # rows = frequency, top row = highest bin; columns = frames
+        img = np.zeros((n_bins, n_frames), dtype=np.uint8)
+        q = float(_clip_level(values))
+        if not q <= 0:  # a NaN level takes the formula, as any positive one
+            for i, mag in _magnitude_chunks(values):
+                # 255 * min(mag, q) / q, in place in the chunk buffer.
+                np.minimum(mag, q, out=mag)
+                mag *= 255.0
+                mag /= q
+                img[::-1, i : i + mag.shape[0]] = (
+                    np.round(mag, out=mag).astype(np.uint8).T)
         with path.open("wb") as fh:
-            fh.write(f"P5 {img.shape[1]} {img.shape[0]} 255\n".encode("ascii"))
-            fh.write(img.tobytes())
+            fh.write(f"P5 {n_frames} {n_bins} 255\n".encode("ascii"))
+            fh.write(img)
     else:
-        meta = {"n_frames": int(mag.shape[0]), "n_bins": int(mag.shape[1]),
+        meta = {"n_frames": int(n_frames), "n_bins": int(n_bins),
                 "fs": tfr.fs, "fft_half": tfr.fft_half, "hop": tfr.hop,
                 "t0": tfr.t0, "kind": tfr.kind, "dtype": "<f8"}
         with path.open("wb") as fh:
             fh.write((json.dumps(meta, sort_keys=True) + "\n").encode("ascii"))
-            fh.write(mag.astype("<f8").tobytes())
+            for _, mag in _magnitude_chunks(values):
+                fh.write(mag)
 
 
 def read_tfr_f64le(path) -> tuple[np.ndarray, dict]:
-    """``(matrix, meta)`` of an ``export_tfr(..., fmt='f64le')`` file."""
+    """``(matrix, meta)`` of an ``export_tfr(..., fmt='f64le')`` file.
+
+    A data block that is not exactly ``n_frames x n_bins`` float64 values
+    raises ``DataFormatError`` naming the file and both byte counts.
+    """
     path = Path(path)
     with path.open("rb") as fh:
         meta = json.loads(fh.readline().decode("ascii"))
-        raw = fh.read()
-    mat = np.frombuffer(raw, dtype="<f8").reshape(meta["n_frames"], meta["n_bins"])
-    return mat.copy(), meta
+        shape = (meta["n_frames"], meta["n_bins"])
+        expected = 8 * shape[0] * shape[1]
+        found = os.fstat(fh.fileno()).st_size - fh.tell()
+        if found != expected:
+            raise DataFormatError(
+                f"{path}: expected {expected} bytes of float64 data for "
+                f"{shape[0]} x {shape[1]} values, found {found}")
+        mat = np.fromfile(fh, dtype="<f8", count=shape[0] * shape[1])
+    return mat.reshape(shape), meta

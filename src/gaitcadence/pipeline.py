@@ -249,9 +249,15 @@ def run_pipeline(cfg: PipelineConfig, input_csv, labels_csv, outdir,
             traces.append(trace)
             n_frames, mean_hz = len(trace), float(trace.cadence_hz.mean())
         except CadenceError as exc:
-            logger.error("bout %d [%s, %s] failed: %s", idx, bout.start_s,
-                         bout.end_s, exc)
+            # The record gets the text, not the error: a handler that keeps
+            # records would keep the traceback's frames and their grids.
             status, message = "error", str(exc)
+            logger.error("bout %d [%s, %s] failed: %s", idx, bout.start_s,
+                         bout.end_s, message)
+        finally:
+            # Free this bout's grids, exported or not, before the next bout's
+            # kernel allocates its own.
+            analysis = None
         outcomes.append(BoutOutcome(
             start_s=bout.start_s, end_s=bout.end_s, label=bout.label,
             status=status, message=message, n_frames=n_frames,

@@ -4,7 +4,7 @@ The frequency axis of every grid has ``M + 1`` bins; bin ``m`` (zero-based)
 maps to ``m * fs / (2M)`` Hz. Frames advance by ``hop`` samples, so frame
 ``n`` (zero-based) sits at time ``t0 + n * hop / fs``. All transforms are
 pure and frames are independent, so the kernel splits a signal's frames
-into an even number of near-equal blocks of at most 32 frames and
+into an even number of near-equal blocks of at most 16 frames and
 computes them on a small thread pool itself, each block writing its own
 rows of the outputs, in whatever order the blocks finish.
 
@@ -44,13 +44,13 @@ KIND_SST = "sst"
 KIND_DSSST = "dssst"
 GRID_KINDS = (KIND_STFT, KIND_STCT, KIND_ISTCT, KIND_DSSTFT, KIND_SST, KIND_DSSST)
 
-# Most frames per block. A block's stage arrays peak at 11 MB under
-# tracemalloc at M = 4096, 14 MB with the full-width squeeze (85 and 109 MB
-# at 256 frames).
-_CHUNK_FRAMES = 32
+# Most frames per block. A block's stage arrays peak at 5.5 MB under
+# tracemalloc at M = 4096, 6.8 MB with the full-width squeeze (10.7 and
+# 13.6 MB at 32 frames, 85 and 109 MB at 256).
+_CHUNK_FRAMES = 16
 # Most worker threads, hence most blocks computed at once. Each block holds
 # its own stage arrays, so the kernel's memory beyond its outputs grows
-# linearly with this cap: about 22 MB for two blocks at M = 4096.
+# linearly with this cap: about 11 MB for two blocks at M = 4096.
 _MAX_IN_FLIGHT = 2
 # Rows per cepstrum sub-block. Sixteen rows' even extensions (2M floats
 # each, 1 MB at M = 4096) stay in cache between the mirror and the rfft;
@@ -90,9 +90,6 @@ class TFRGrid:
     @property
     def n_frames(self) -> int:
         return self.values.shape[0]
-
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.values)
 
 
 @dataclass
@@ -216,9 +213,10 @@ def _istct_interp_table(fft_half: int):
     return valid, col_lo, col_hi, weight
 
 
-def _istct_rows(ceps: np.ndarray, fft_half: int, out=None) -> np.ndarray:
-    """The de-shape mask of cepstral rows, written into ``out`` when given."""
-    valid, col_lo, col_hi, weight = _istct_interp_table(fft_half)
+def _istct_rows(ceps: np.ndarray, table, out=None) -> np.ndarray:
+    """The de-shape mask of cepstral rows, by the ``_istct_interp_table``
+    of their width, written into ``out`` when given."""
+    valid, col_lo, col_hi, weight = table
     u = np.multiply(ceps[:, col_lo], 1.0 - weight, out=out)
     upper = ceps[:, col_hi]
     upper *= weight
@@ -227,12 +225,11 @@ def _istct_rows(ceps: np.ndarray, fft_half: int, out=None) -> np.ndarray:
     return u
 
 
-def _istct_cells(ceps: np.ndarray, fft_half: int,
-                 cells: np.ndarray) -> np.ndarray:
-    """``_istct_rows(ceps, fft_half).ravel()[cells]``, evaluated only at the
+def _istct_cells(ceps: np.ndarray, table, cells: np.ndarray) -> np.ndarray:
+    """``_istct_rows(ceps, table).ravel()[cells]``, evaluated only at the
     given row-major flat cell indices."""
-    valid, col_lo, _, weight = _istct_interp_table(fft_half)
-    cols = cells % (fft_half + 1)
+    valid, col_lo, _, weight = table
+    cols = cells % valid.size
     at = col_lo[cols]
     at += cells
     at -= cols  # flat index of (row, col_lo[col])
@@ -260,7 +257,7 @@ def istct(c: TFRGrid) -> TFRGrid:
     """
     if c.fft_half < 2:
         raise StructuralError("istct needs at least 3 quefrency columns")
-    vals = _istct_rows(c.values, c.fft_half)
+    vals = _istct_rows(c.values, _istct_interp_table(c.fft_half))
     return TFRGrid(vals, fs=c.fs, fft_half=c.fft_half, hop=c.hop,
                    kind=KIND_ISTCT, t0=c.t0)
 
@@ -309,12 +306,13 @@ def reassignment_operator(v: TFRGrid, vd: TFRGrid, upsilon: float,
 
 
 def _squeeze_rows(src_rows: np.ndarray, omega_rows: np.ndarray, lo: int,
-                  hi: int, ceps=None) -> np.ndarray:
+                  hi: int, ceps=None, table=None) -> np.ndarray:
     """Columns ``lo..hi`` of the squeezed rows, shape ``(n_rows, hi - lo + 1)``.
 
     Every column (``0..M``) of ``src`` as it is: each cell is scattered, and
     ``-inf`` or out-of-range targets go to one dump bin past the end. A band,
-    or ``src`` times the istct mask of ``ceps``: only the cells whose rounded
+    or ``src`` times the istct mask of ``ceps`` (by ``table``, the
+    ``_istct_interp_table``): only the cells whose rounded
     target lands in ``lo..hi`` are picked, so a narrow band reads a small
     share of the grid, and the mask is evaluated at those cells only.
     Either way ``np.bincount`` sums each bin's cells in row-major order, so
@@ -342,7 +340,7 @@ def _squeeze_rows(src_rows: np.ndarray, omega_rows: np.ndarray, lo: int,
         flat = (cells // n_cols) * width + (targets[cells].astype(np.int64) - lo)
         weights = src_rows.ravel()[cells]
         if ceps is not None:
-            weights *= _istct_cells(ceps, n_cols - 1, cells)
+            weights *= _istct_cells(ceps, table, cells)
         del cells
     del targets
     if np.iscomplexobj(weights):
@@ -377,10 +375,11 @@ def synchrosqueeze(src: TFRGrid, omega: OmegaMatrix) -> TFRGrid:
 
 
 def _dsst_rows(v: np.ndarray, vd: np.ndarray, window_half: int,
-               fft_half: int, gamma: float, upsilon: float, band,
+               fft_half: int, gamma: float, upsilon: float, band, table,
                band_rows: np.ndarray, out: dict) -> None:
     """Fill one block's rows of ``band_mag`` (``band_rows``) and of each kept
-    grid (``out``: kind -> rows) from its STFT pair rows ``V``, ``V'``.
+    grid (``out``: kind -> rows) from its STFT pair rows ``V``, ``V'``;
+    ``table`` is the call's ``_istct_interp_table``.
 
     Each stage runs once, on one core: the kernel computes blocks side by
     side instead.
@@ -389,7 +388,7 @@ def _dsst_rows(v: np.ndarray, vd: np.ndarray, window_half: int,
     ceps = _stct_rows(vmag, gamma, out=out.get(KIND_STCT))
     omega = _omega_rows(v, vd, vmag, upsilon, window_half, fft_half)
     if out.keys() & {KIND_ISTCT, KIND_DSSTFT, KIND_DSSST}:
-        w = v * _istct_rows(ceps, fft_half, out=out.get(KIND_ISTCT))
+        w = v * _istct_rows(ceps, table, out=out.get(KIND_ISTCT))
         if KIND_DSSTFT in out:
             np.abs(w, out=out[KIND_DSSTFT])
     if KIND_SST in out:
@@ -399,7 +398,8 @@ def _dsst_rows(v: np.ndarray, vd: np.ndarray, window_half: int,
                        out=out[KIND_DSSST])
         band_rows[:] = dssst[:, band[0] : band[1] + 1]
     else:
-        np.abs(_squeeze_rows(v, omega, *band, ceps=ceps), out=band_rows)
+        np.abs(_squeeze_rows(v, omega, *band, ceps=ceps, table=table),
+               out=band_rows)
 
 
 def _pool_size() -> int:
@@ -455,11 +455,13 @@ def dsst(s: Signal, w: Window, fft_half: int, hop: int, gamma: float,
     band_mag = np.empty((n, band[1] - band[0] + 1))
     grids = {kind: np.empty((n, fft_half + 1)) for kind in GRID_KINDS
              if kind in kinds}
+    table = _istct_interp_table(fft_half)  # one for every block
 
     def block(rows):
         pair = (_stft_rows(frames[rows], taper, fft_half)
                 for taper in (w.h, w.dh))
-        _dsst_rows(*pair, w.K, fft_half, gamma, upsilon, band, band_mag[rows],
+        _dsst_rows(*pair, w.K, fft_half, gamma, upsilon, band, table,
+                   band_mag[rows],
                    {kind: grid[rows] for kind, grid in grids.items()})
 
     with ThreadPoolExecutor(_pool_size()) as pool:

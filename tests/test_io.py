@@ -1,9 +1,15 @@
 """CSV ingestion, trace round trips, and TFR export formats."""
 
+import contextlib
+import json
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gaitcadence import io
 from gaitcadence.analysis import BoutInterval
@@ -281,19 +287,22 @@ class TestExportTfr:
     @given(st.lists(st.one_of(
         st.sampled_from([0.0, -0.0, 1.0, 2.0, np.inf, -np.inf, np.nan]),
         st.floats(allow_nan=False, allow_infinity=False)),
-        min_size=1, max_size=60))
-    def test_clip_level_is_numpys_quantile(self, values):
-        a = np.array(values)
-        with np.errstate(invalid="ignore"):
-            want = np.float64(np.quantile(a, io.PGM_QUANTILE))
-            got = np.float64(io._clip_level(a.copy()))
+        min_size=1, max_size=60), st.integers(1, 8))
+    def test_clip_level_is_numpys_quantile(self, values, rows_per_chunk):
+        a = np.array(values).reshape(-1, 1)
+        with chunk_rows(a, rows_per_chunk), np.errstate(invalid="ignore"):
+            want = np.float64(np.quantile(np.abs(a), io.PGM_QUANTILE))
+            got = np.float64(io._clip_level(a))
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("n", [101, 4097, 37 * 4097])
+    @pytest.mark.parametrize("n", [101, 4097, 37 * 4097, 377 * 4097])
     def test_clip_level_on_grid_sized_input(self, n):
+        # Rows of up to 4097 bins; 377 rows are six chunks of 63, the last
+        # one ragged.
         rng = np.random.default_rng(n)
         a = rng.exponential(size=n)
         a[rng.uniform(size=n) < 0.3] = 0.0  # ties, as below-threshold cells
+        a = a.reshape(-1, min(n, 4097))
         want = np.float64(np.quantile(a, io.PGM_QUANTILE))
         assert np.float64(io._clip_level(a)).tobytes() == want.tobytes()
 
@@ -323,3 +332,141 @@ class TestExportTfr:
         tfr = self.make_grid([[1.0, 2.0]])
         with pytest.raises(Exception):
             export_tfr(tfr, tmp_path / "x.bin", "npz")
+
+    @pytest.mark.parametrize("tail", [0, 3, 8])
+    def test_truncated_f64le_names_file_and_byte_counts(self, tmp_path, tail):
+        # A whole value (8 bytes) or part of one (3 bytes) missing, or none.
+        p = tmp_path / "grid.f64le"
+        export_tfr(self.make_grid(np.ones((4, 5))), p, "f64le")
+        raw = p.read_bytes()
+        p.write_bytes(raw[: len(raw) - tail])
+        if not tail:
+            assert read_tfr_f64le(p)[0].tobytes() == np.ones((4, 5)).tobytes()
+            return
+        with pytest.raises(DataFormatError) as info:
+            read_tfr_f64le(p)
+        assert str(p) in str(info.value)
+        assert "expected 160 bytes" in str(info.value)
+        assert f"found {160 - tail}" in str(info.value)
+
+
+@contextlib.contextmanager
+def chunk_rows(values, rows):
+    """Stream exports of ``values``' width in chunks of ``rows`` rows."""
+    size = 8 * values.shape[1] * rows
+    with mock.patch.object(io, "_EXPORT_CHUNK_BYTES", size):
+        yield
+
+
+def reference_export(tfr, path, fmt):
+    """The whole-grid exporter: the magnitude matrix, its uint8 image and its
+    raw bytes each built in one piece, the clip level by ``np.quantile``."""
+    mag = np.abs(tfr.values).astype(np.float64, copy=False)
+    if fmt == "csv":
+        with open(path, "w", newline="") as fh:
+            fh.write(f"# kind={tfr.kind} fs={tfr.fs:.12g} "
+                     f"fft_half={tfr.fft_half} hop={tfr.hop} "
+                     f"t0={tfr.t0:.12g} n_frames={mag.shape[0]}\n")
+            fh.write("# columns: frequency bins 0..M at m*fs/(2M) Hz; "
+                     "rows: frames\n")
+            np.savetxt(fh, mag, fmt="%.12g", delimiter=",")
+    elif fmt == "pgm":
+        q = float(np.quantile(mag, io.PGM_QUANTILE))
+        if q <= 0:
+            img = np.zeros(mag.shape, dtype=np.uint8)
+        else:
+            img = np.round(255.0 * np.minimum(mag, q) / q).astype(np.uint8)
+        img = img.T[::-1, :]
+        with open(path, "wb") as fh:
+            fh.write(f"P5 {img.shape[1]} {img.shape[0]} 255\n".encode("ascii"))
+            fh.write(img.tobytes())
+    else:
+        meta = {"n_frames": int(mag.shape[0]), "n_bins": int(mag.shape[1]),
+                "fs": tfr.fs, "fft_half": tfr.fft_half, "hop": tfr.hop,
+                "t0": tfr.t0, "kind": tfr.kind, "dtype": "<f8"}
+        with open(path, "wb") as fh:
+            fh.write((json.dumps(meta, sort_keys=True) + "\n").encode("ascii"))
+            fh.write(mag.astype("<f8").tobytes())
+
+
+CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, np.inf, -np.inf, np.nan]),
+    st.floats(-1e6, 1e6))
+
+
+@st.composite
+def streamed_grids(draw):
+    """A grid, real or complex, and the rows per export chunk."""
+    n_rows, n_bins = draw(st.integers(1, 150)), draw(st.integers(1, 6))
+    cells = hnp.arrays(np.float64, (n_rows, n_bins), elements=CELLS)
+    values = draw(cells)
+    if draw(st.booleans()):
+        values = values.astype(np.complex128)
+        values.imag = draw(cells)
+    return values, draw(st.integers(1, 8))
+
+
+class TestStreamedExport:
+    """Exports streamed in row chunks equal the whole-grid exporter's bytes."""
+
+    def assert_same_bytes(self, values, rows, tmp_dir):
+        grid = TFRGrid(values, fs=10.0, fft_half=values.shape[1] - 1,
+                       kind="dssst", t0=1.5)
+        for fmt in ("csv", "pgm", "f64le"):
+            got, want = tmp_dir / f"got.{fmt}", tmp_dir / f"want.{fmt}"
+            with chunk_rows(values, rows), np.errstate(all="ignore"):
+                export_tfr(grid, got, fmt)
+                reference_export(grid, want, fmt)
+            assert got.read_bytes() == want.read_bytes(), fmt
+
+    @settings(max_examples=150, deadline=None)
+    @given(streamed_grids())
+    def test_equals_whole_grid_export(self, tmp_path_factory, grid):
+        values, rows = grid
+        self.assert_same_bytes(values, rows, tmp_path_factory.mktemp("export"))
+
+    @pytest.mark.parametrize("n_rows, rows, what", [
+        (5, 8, "fewer rows than one chunk"),
+        (23, 4, "a ragged last chunk"),
+        (400, 1, "a top tail longer than one chunk"),
+    ])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_chunk_layouts(self, tmp_path, n_rows, rows, what, kind):
+        n_bins = 3
+        keep = n_rows * n_bins - int((n_rows * n_bins - 1) * io.PGM_QUANTILE)
+        assert {"fewer rows than one chunk": n_rows < rows,
+                "a ragged last chunk": n_rows % rows != 0,
+                "a top tail longer than one chunk": keep > rows * n_bins}[what]
+        rng = np.random.default_rng(n_rows)
+        values = rng.integers(0, 9, size=(n_rows, n_bins)) / 7.0  # ties
+        if kind == "complex":
+            values = values - 1j * rng.exponential(size=values.shape)
+        values[1, 1] = -0.0
+        self.assert_same_bytes(values, rows, tmp_path)
+
+    def test_clip_level_keeps_a_bounded_share_of_the_grid(self):
+        # 100 chunks of 1000 cells: the kept values are cut back to the top
+        # 1001 magnitudes whenever they reach 2002, not kept from every chunk.
+        values = np.random.default_rng(8).exponential(size=(2000, 50))
+        with chunk_rows(values, 20):
+            tracemalloc.start()
+            try:
+                got = io._clip_level(values)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert got == np.quantile(values, io.PGM_QUANTILE)
+        assert peak < 0.25 * values.nbytes
+
+    @pytest.mark.parametrize("fmt", ["pgm", "f64le", "csv"])
+    def test_peak_memory_under_half_the_grid(self, tmp_path, fmt):
+        rng = np.random.default_rng(7)
+        values = rng.exponential(size=(377, 4097))
+        grid = TFRGrid(values, fs=10.0, fft_half=4096, kind="dssst")
+        tracemalloc.start()
+        try:
+            export_tfr(grid, tmp_path / f"grid.{fmt}", fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * values.nbytes

@@ -2,6 +2,7 @@
 
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -272,6 +273,38 @@ class TestRunPipeline:
         trace, labels_per_frame = load_trace_csv(tmp_path / "out" / "cadence.csv")
         assert len(trace) == report.bouts[0].n_frames
         assert set(labels_per_frame) == {1}
+
+    @pytest.mark.parametrize("export_fails", [False, True])
+    def test_one_bouts_grids_at_a_time(self, small_fixture, tmp_path,
+                                       monkeypatch, export_fails):
+        # Bout 1's dssst grid, exported or not, is freed before bout 2's
+        # kernel allocates its own.
+        import gaitcadence.pipeline as pipeline
+        dsst, export_tfr = pipeline.dsst, pipeline.export_tfr
+        grids, alive_at_start = [], []
+
+        def tracked_dsst(*args, **kwargs):
+            alive_at_start.append([ref() is not None for ref in grids])
+            band_mag, kept = dsst(*args, **kwargs)
+            grids.append(weakref.ref(kept["dssst"]))
+            return band_mag, kept
+
+        def export(grid, path, fmt):
+            if export_fails:
+                raise DataFormatError("disk full")
+            export_tfr(grid, path, fmt)
+
+        monkeypatch.setattr(pipeline, "dsst", tracked_dsst)
+        monkeypatch.setattr(pipeline, "export_tfr", export)
+        csv_path, _ = small_fixture
+        labels = tmp_path / "labels.csv"
+        labels.write_text("start_s,end_s,label\n2,13,1\n14,26,3\n")
+        report = run_pipeline(fast_config(hop=10), csv_path, labels,
+                              tmp_path / "out", export_kinds=("dssst",),
+                              export_format="pgm")
+        assert [b.status for b in report.bouts] == (
+            ["error"] * 2 if export_fails else ["ok"] * 2)
+        assert alive_at_start == [[], [False]]
 
     def test_per_bout_isolation(self, tmp_path):
         spec, res = make_walk(duration_s=60.0, bout=(2.0, 26.0), fs=50.0,

@@ -448,8 +448,10 @@ class TestSqueezeForms:
 
     def tiled(self, src, omega, ceps=None):
         M = omega.shape[1] - 1
-        return np.hstack([tfr._squeeze_rows(src, omega, 0, M - 1, ceps=ceps),
-                          tfr._squeeze_rows(src, omega, M, M, ceps=ceps)])
+        table = tfr._istct_interp_table(M)
+        return np.hstack([
+            tfr._squeeze_rows(src, omega, 0, M - 1, ceps=ceps, table=table),
+            tfr._squeeze_rows(src, omega, M, M, ceps=ceps, table=table)])
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("masked", [False, True])
@@ -458,11 +460,12 @@ class TestSqueezeForms:
         v, omega = squeeze_block(seed)
         M = v.shape[1] - 1
         ceps = tfr._stct_rows(np.abs(v), 0.3) if masked else None
-        src = v * tfr._istct_rows(ceps, M) if masked else v
+        table = tfr._istct_interp_table(M)
+        src = v * tfr._istct_rows(ceps, table) if masked else v
         full = tfr._squeeze_rows(src, omega, 0, M)
         assert full.shape == v.shape
         assert full.tobytes() == self.tiled(v, omega, ceps).tobytes()
-        gathered = tfr._squeeze_rows(v, omega, 0, M, ceps=ceps)
+        gathered = tfr._squeeze_rows(v, omega, 0, M, ceps=ceps, table=table)
         assert full.tobytes() == gathered.tobytes()
         assert np.any(full != 0)
         if not masked:  # the mask is zero at bins 0 and 1
@@ -482,7 +485,8 @@ class TestSqueezeForms:
         if targets == "every cell":
             omega[:] = np.arange(17.0)[::-1]
         ceps = tfr._stct_rows(np.abs(v), 0.3)
-        full = tfr._squeeze_rows(v * tfr._istct_rows(ceps, 16), omega, 0, 16)
+        mask = tfr._istct_rows(ceps, tfr._istct_interp_table(16))
+        full = tfr._squeeze_rows(v * mask, omega, 0, 16)
         assert full.tobytes() == np.zeros(v.shape, np.complex128).tobytes()
         assert full.tobytes() == self.tiled(v, omega, ceps).tobytes()
 
@@ -589,8 +593,8 @@ class TestFrameBlocks:
             assert len(blocks) % tfr._MAX_IN_FLIGHT == 0
 
     @pytest.mark.parametrize("n, sizes", [
-        (1, [1]), (255, [31] + [32] * 7), (360, [30] * 12),
-        (6000, ([31] + [32] * 10 + ([31] + [32] * 11) * 3) * 4)])
+        (1, [1]), (255, [15] + [16] * 15), (360, [15] * 24),
+        (6000, ([15] + [16] * 22 + [15] + [16] * 23) * 8)])
     def test_known_layouts(self, n, sizes):
         assert [rows.stop - rows.start for rows in tfr._frame_blocks(n)] == sizes
 
@@ -614,7 +618,7 @@ class TestFrameBlocks:
 class TestChunkedChain:
     @pytest.mark.parametrize("hop", [1, 3])
     def test_matches_full_grid_chain(self, hop):
-        # 1600 and 534 frames: 50 blocks of 32 and 18 of 29 or 30
+        # 1600 and 534 frames: 100 blocks of 16 and 34 of 15 or 16
         sig = walk_signal()
         cfg = small_config(hop)
         analysis = analyze_signal(sig, cfg, collect=GRID_KINDS)
@@ -622,7 +626,7 @@ class TestChunkedChain:
         assert analysis.n_frames == -(-1600 // hop)
         for kind in GRID_KINDS:
             assert (analysis.grids[kind].tobytes()
-                    == full[kind].magnitude().tobytes()), kind
+                    == np.abs(full[kind].values).tobytes()), kind
 
     @pytest.mark.parametrize("hop", [1, 3])
     @pytest.mark.parametrize("kinds", [
@@ -636,8 +640,9 @@ class TestChunkedChain:
         band_mag, grids = kernel(sig, cfg, (20, 60), kinds=kinds)
         assert grids.keys() == set(kinds)
         for kind in kinds:
-            assert grids[kind].tobytes() == full[kind].magnitude().tobytes(), kind
-        band = np.ascontiguousarray(full["dssst"].magnitude()[:, 20:61])
+            want = np.abs(full[kind].values)
+            assert grids[kind].tobytes() == want.tobytes(), kind
+        band = np.ascontiguousarray(np.abs(full["dssst"].values)[:, 20:61])
         assert band_mag.tobytes() == band.tobytes()
 
     def test_one_mask_per_block(self, monkeypatch):
@@ -659,7 +664,7 @@ class TestChunkedChain:
     def test_band_rows_match_full_squeeze(self, hop, where):
         sig = walk_signal()
         cfg = small_config(hop)
-        full = full_grid_chain(sig, cfg)["dssst"].magnitude()
+        full = np.abs(full_grid_chain(sig, cfg)["dssst"].values)
         M = full.shape[1] - 1
         lo, hi = {"inner": (20, 60), "bin 0": (0, 12),
                   "bin M": (M - 30, M)}[where]
@@ -683,7 +688,7 @@ class TestChunkedChain:
         assert not np.any(chain["omega"].finite_mask[a:b])
         got = kernel_dssst(sig, cfg, (20, 60))
         assert got[a:b].tobytes() == np.zeros((b - a, 41)).tobytes()
-        full = chain["dssst"].magnitude()[:, 20:61]
+        full = np.abs(chain["dssst"].values)[:, 20:61]
         assert got.tobytes() == np.ascontiguousarray(full).tobytes()
 
     @pytest.mark.parametrize("hop", [1, 3])
@@ -757,8 +762,8 @@ class TestChunkedChain:
 
 class TestKernelMemory:
     def test_memory_beyond_band_mag_does_not_grow_with_the_bout(self):
-        # Default configuration, hop 1, 100 Hz: blocks of 32 frames x 4097
-        # bins, two at a time, hold ~21 MB of stage arrays at the peak.
+        # Default configuration, hop 1, 100 Hz: blocks of 16 frames x 4097
+        # bins, two at a time, hold ~11 MB of stage arrays at the peak.
         # Blocks of 256 frames peaked at ~170 MB on the 60 s bout.
         cfg = PipelineConfig().validate()
         peaks, band_bytes = {}, {}
