@@ -45,17 +45,12 @@ KIND_DSSST = "dssst"
 GRID_KINDS = (KIND_STFT, KIND_STCT, KIND_ISTCT, KIND_DSSTFT, KIND_SST, KIND_DSSST)
 
 # Most frames per block. A block's stage arrays peak at 5.5 MB under
-# tracemalloc at M = 4096, 6.8 MB with the full-width squeeze (10.7 and
-# 13.6 MB at 32 frames, 85 and 109 MB at 256).
+# tracemalloc at M = 4096, 6.8 MB with the full-width squeeze.
 _CHUNK_FRAMES = 16
 # Most worker threads, hence most blocks computed at once. Each block holds
 # its own stage arrays, so the kernel's memory beyond its outputs grows
 # linearly with this cap: about 11 MB for two blocks at M = 4096.
 _MAX_IN_FLIGHT = 2
-# Rows per cepstrum sub-block. Sixteen rows' even extensions (2M floats
-# each, 1 MB at M = 4096) stay in cache between the mirror and the rfft;
-# extending a whole block at once was slower.
-_STCT_ROWS = 16
 
 
 @dataclass
@@ -166,14 +161,10 @@ def _stct_rows(stft_mag: np.ndarray, gamma: float, out=None) -> np.ndarray:
     n_rows, width = stft_mag.shape
     M = width - 1
     out = np.empty((n_rows, width)) if out is None else out
-    extended = np.empty((min(n_rows, _STCT_ROWS), 2 * M))
-    for i in range(0, n_rows, _STCT_ROWS):
-        part = stft_mag[i : i + _STCT_ROWS]
-        n = part.shape[0]
-        np.power(part, gamma, out=extended[:n, :width])
-        extended[:n, width:] = extended[:n, M - 1 : 0 : -1]
-        np.maximum(np.fft.rfft(extended[:n], axis=1).real, 0.0,
-                   out=out[i : i + n])
+    extended = np.empty((n_rows, 2 * M))
+    np.power(stft_mag, gamma, out=extended[:, :width])
+    extended[:, width:] = extended[:, M - 1 : 0 : -1]
+    np.maximum(np.fft.rfft(extended, axis=1).real, 0.0, out=out)
     return out
 
 
@@ -187,7 +178,9 @@ def stct(v: TFRGrid, gamma: float) -> TFRGrid:
     """
     if not gamma > 0:
         raise ParameterError(f"gamma must be positive, got {gamma}")
-    vals = _stct_rows(np.abs(v.values), gamma)
+    vals = np.empty(v.values.shape)
+    for rows in _frame_blocks(v.n_frames):
+        _stct_rows(np.abs(v.values[rows]), gamma, out=vals[rows])
     return TFRGrid(vals, fs=v.fs, fft_half=v.fft_half, hop=v.hop,
                    kind=KIND_STCT, t0=v.t0)
 
@@ -208,17 +201,16 @@ def _istct_interp_table(fft_half: int):
     idx = np.clip(idx, 0, M - 2)
     span = nodes[idx + 1] - nodes[idx]
     weight = np.where(valid, (x - nodes[idx]) / span, 0.0)
-    col_lo = M - idx  # quefrency column at nodes[idx]
-    col_hi = col_lo - 1
-    return valid, col_lo, col_hi, weight
+    col_lo = M - idx  # column at nodes[idx]; nodes[idx + 1] has col_lo - 1
+    return valid, col_lo, weight
 
 
 def _istct_rows(ceps: np.ndarray, table, out=None) -> np.ndarray:
     """The de-shape mask of cepstral rows, by the ``_istct_interp_table``
     of their width, written into ``out`` when given."""
-    valid, col_lo, col_hi, weight = table
+    valid, col_lo, weight = table
     u = np.multiply(ceps[:, col_lo], 1.0 - weight, out=out)
-    upper = ceps[:, col_hi]
+    upper = ceps[:, col_lo - 1]
     upper *= weight
     u += upper
     u[:, ~valid] = 0.0
@@ -228,7 +220,7 @@ def _istct_rows(ceps: np.ndarray, table, out=None) -> np.ndarray:
 def _istct_cells(ceps: np.ndarray, table, cells: np.ndarray) -> np.ndarray:
     """``_istct_rows(ceps, table).ravel()[cells]``, evaluated only at the
     given row-major flat cell indices."""
-    valid, col_lo, _, weight = table
+    valid, col_lo, weight = table
     cols = cells % valid.size
     at = col_lo[cols]
     at += cells
@@ -239,7 +231,7 @@ def _istct_cells(ceps: np.ndarray, table, cells: np.ndarray) -> np.ndarray:
     flat = ceps.ravel()
     u = flat[at]
     u *= 1.0 - w
-    at -= 1  # col_hi is col_lo - 1
+    at -= 1  # the upper node's column
     upper = flat[at]
     upper *= w
     u += upper

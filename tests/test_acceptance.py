@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from gaitcadence.analysis import BoutInterval, bland_altman
 from gaitcadence.cli import main
@@ -19,7 +20,8 @@ from gaitcadence.signal import Signal, gaussian_window
 from gaitcadence.synth import ConstantProfile
 from gaitcadence.tfr import dsst, stft
 
-from conftest import as_record, make_walk
+from conftest import (as_record, enumerated_best, make_walk, path_objective,
+                      stft_direct_sum)
 
 
 def report(name, ok, detail):
@@ -28,16 +30,6 @@ def report(name, ok, detail):
 
 
 # --- 1. STFT oracle equivalence ----------------------------------------------
-
-def stft_direct_sum(x, taper, K, M):
-    """Direct summation of the STFT definition (independent oracle)."""
-    N = x.size
-    padded = np.concatenate([np.zeros(K), x, np.zeros(K)])
-    segs = np.lib.stride_tricks.sliding_window_view(padded, 2 * K + 1)[:N]
-    kernel = np.exp(-1j * np.pi
-                    * np.outer(np.arange(2 * K + 1), np.arange(M + 1)) / M)
-    return (segs * taper) @ kernel
-
 
 def test_stft_oracle_equivalence():
     rng = np.random.default_rng(101)
@@ -62,25 +54,6 @@ def test_stft_oracle_equivalence():
 
 # --- 2. Ridge DP exactness ----------------------------------------------------
 
-def enumerate_best_path(mag, penalty):
-    """Vectorized exhaustive search; lexicographically smallest maximizer."""
-    T, B = mag.shape
-    grids = np.meshgrid(*([np.arange(B)] * T), indexing="ij")
-    paths = np.stack([g.ravel() for g in grids])  # T x B^T, lexicographic
-    total = mag.sum()
-    score = np.log(np.maximum(mag, 1e-12 * total)) - np.log(total)
-    vals = score[np.arange(T)[:, None], paths].sum(axis=0)
-    vals = vals - penalty * (np.diff(paths, axis=0).astype(float) ** 2).sum(axis=0)
-    return paths[:, int(np.argmax(vals))]
-
-
-def path_objective(mag, bins, penalty):
-    total = mag.sum()
-    score = np.log(np.maximum(mag, 1e-12 * total)) - np.log(total)
-    return float(score[np.arange(len(bins)), bins].sum()
-                 - penalty * np.sum(np.diff(np.asarray(bins, float)) ** 2))
-
-
 def test_ridge_dp_exactness():
     rng = np.random.default_rng(202)
     t0 = time.perf_counter()
@@ -92,11 +65,10 @@ def test_ridge_dp_exactness():
         B = int(rng.integers(2, 9))
         mag = rng.uniform(0.0, 5.0, size=(T, B))
         dp_bins, _ = ridge_dp(mag, penalty)
-        ref_bins = enumerate_best_path(mag, penalty)
+        ref_bins, ref_obj = enumerated_best(mag, penalty)
         assert np.array_equal(dp_bins, ref_bins), (
             f"path mismatch on block {i} (lambda={penalty})")
-        assert path_objective(mag, dp_bins, penalty) == path_objective(
-            mag, ref_bins, penalty)
+        assert path_objective(mag, dp_bins, penalty) == ref_obj
         checked += 1
     elapsed = time.perf_counter() - t0
     report("ridge-dp-exactness",
@@ -218,6 +190,25 @@ def test_cadence_plausibility_band():
     report("cadence-plausibility-band", bool(ok),
            f"20 bout means in [{means.min():.3f}, {means.max():.3f}] Hz "
            "(all within [1.6, 2.4])")
+
+
+@pytest.mark.xfail(strict=True, reason="locks onto the second harmonic "
+                   "(ROADMAP item 1): about 4.29 steps/s against 2.148")
+def test_harmonic_lock_reproducer():
+    # A freely drawn bout whose ridge locks onto the second harmonic; a
+    # harmonic-lock guard has to bring its mean back to the truth.
+    if_hz, amp = 1.0741, 1.3007
+    spec, res = make_walk(
+        duration_s=36.0, bout=(0.0, 36.0), if_profile=ConstantProfile(if_hz),
+        shape_kw=dict(alphas=[0.599, 0.327, 0.3661],
+                      betas=[4.7635, 0.9924, 0.1253], alpha0=0.1872),
+        snr_db=11.88, rho=0.597, seed=337210733, amp=amp)
+    _, _, trace = analyze_bout(as_record(res, baseline=1.5 * amp),
+                               BoutInterval(0.0, 36.0, 1),
+                               PipelineConfig(hop=10))
+    mean = float(trace.cadence_hz.mean())
+    report("harmonic-lock-reproducer", abs(mean - 2 * if_hz) <= 0.1,
+           f"mean {mean:.3f} steps/s against a truth of {2 * if_hz:.3f}")
 
 
 # --- 7. Bland-Altman correctness --------------------------------------------------

@@ -12,14 +12,7 @@ from gaitcadence.errors import ParameterError
 from gaitcadence.pipeline import BoutAnalysis, extract_bout_ridge
 from gaitcadence.ridge import band_to_bins, cadence_from_ridge, ridge_dp
 
-
-def path_objective(mag, bins, penalty):
-    """Score one path with the same floor/normalization as the extractor."""
-    total = mag.sum()
-    score = np.log(np.maximum(mag, 1e-12 * total)) - np.log(total)
-    value = score[np.arange(len(bins)), bins].sum()
-    value -= penalty * np.sum(np.diff(np.asarray(bins, dtype=float)) ** 2)
-    return value
+from conftest import enumerated_best, path_objective
 
 
 def ridge_of(mag, fs=10.0, band_hz=None, penalty=1.0):
@@ -73,18 +66,6 @@ def ridge_blocks(draw):
     return mag
 
 
-def brute_force_best(mag, penalty):
-    """Enumerate every path; ties resolve to the lexicographically smallest."""
-    T, B = mag.shape
-    paths = np.indices((B,) * T).reshape(T, -1).T  # one path per row, lexicographic
-    total = mag.sum()
-    score = np.log(np.maximum(mag, 1e-12 * total)) - np.log(total)
-    vals = score[np.arange(T), paths].sum(axis=1)
-    vals -= penalty * np.sum(np.diff(paths, axis=1).astype(float) ** 2, axis=1)
-    best = paths[int(np.argmax(vals))]
-    return best, path_objective(mag, best, penalty)
-
-
 class TestRidgeDP:
     def test_single_nonzero_row(self):
         mag = np.zeros((5, 6))
@@ -100,7 +81,7 @@ class TestRidgeDP:
             [2.5, 0.2, 0.4, 0.1],
         ])
         bins, _ = ridge_dp(mag, penalty=1.0)
-        np.testing.assert_array_equal(bins, brute_force_best(mag, 1.0)[0])
+        np.testing.assert_array_equal(bins, enumerated_best(mag, 1.0)[0])
 
     def test_huge_penalty_gives_best_constant_path(self):
         rng = np.random.default_rng(21)
@@ -120,19 +101,19 @@ class TestRidgeDP:
             B = int(rng.integers(2, 9))
             uniform = rng.uniform(0.0, 4.0, size=(T, B))
             bins, _ = ridge_dp(uniform, penalty)
-            np.testing.assert_array_equal(bins, brute_force_best(uniform, penalty)[0])
+            np.testing.assert_array_equal(bins, enumerated_best(uniform, penalty)[0])
             # A mirror-symmetric block ties every path with its mirror image
             # bit for bit, in any summation order; the lower one must win.
             mirrored = uniform + uniform[:, ::-1]
             bins, _ = ridge_dp(mirrored, penalty)
-            np.testing.assert_array_equal(bins, brute_force_best(mirrored, penalty)[0])
+            np.testing.assert_array_equal(bins, enumerated_best(mirrored, penalty)[0])
             # Integer levels 0..2 make many paths that tie in exact arithmetic;
             # summation order breaks some of those ties either way, so only
             # the optimum's value is compared here.
             tied = tie_rng.integers(0, 3, size=(T, B)).astype(np.float64)
             if tied.any():
                 bins, _ = ridge_dp(tied, penalty)
-                _, ref_obj = brute_force_best(tied, penalty)
+                _, ref_obj = enumerated_best(tied, penalty)
                 assert path_objective(tied, bins, penalty) == pytest.approx(
                     ref_obj, rel=1e-12, abs=1e-12)
 
@@ -162,13 +143,13 @@ class TestRidgeDP:
         mag = np.full((4, 5), 1.3)
         bins, _ = ridge_dp(mag, penalty=0.7)
         assert np.all(bins == 0)
-        ref_bins, _ = brute_force_best(mag, 0.7)
+        ref_bins, _ = enumerated_best(mag, 0.7)
         np.testing.assert_array_equal(bins, ref_bins)
         # from bin 1, bins 0 and 2 are equally good next steps
         mag = np.array([[1.0, 5.0, 1.0], [2.0, 1.0, 2.0]])
         bins, _ = ridge_dp(mag, penalty=0.1)
         np.testing.assert_array_equal(bins, [1, 0])
-        np.testing.assert_array_equal(bins, brute_force_best(mag, 0.1)[0])
+        np.testing.assert_array_equal(bins, enumerated_best(mag, 0.1)[0])
 
     def test_zero_penalty_is_per_frame_argmax(self):
         rng = np.random.default_rng(22)

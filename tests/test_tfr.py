@@ -21,22 +21,7 @@ from gaitcadence.tfr import GRID_KINDS
 from gaitcadence.tfr import (OmegaMatrix, TFRGrid, deshape, dsst, istct,
                              reassignment_operator, stct, stft, synchrosqueeze)
 
-
-def stft_direct_sum(s, w, M, derivative=False):
-    """Direct evaluation of the STFT definition; the fast-path oracle."""
-    taper = w.dh if derivative else w.h
-    x = s.samples
-    N = x.size
-    K = w.K
-    out = np.zeros((N, M + 1), dtype=np.complex128)
-    kernel = np.exp(-1j * np.pi * np.outer(np.arange(2 * K + 1), np.arange(M + 1)) / M)
-    for n in range(N):
-        seg = np.zeros(2 * K + 1)
-        lo = max(0, n - K)
-        hi = min(N, n + K + 1)
-        seg[lo - (n - K) : hi - (n - K)] = x[lo:hi]
-        out[n] = (seg * taper) @ kernel
-    return out
+from conftest import stft_direct_sum
 
 
 def stct_direct(v_mag, gamma, M):
@@ -70,7 +55,7 @@ class TestStft:
             s = Signal(rng.normal(size=n), fs=30.0)
             w = gaussian_window(K, 0.2)
             fast = stft(s, w, M).values
-            direct = stft_direct_sum(s, w, M)
+            direct = stft_direct_sum(s.samples, w.h, w.K, M)
             assert rel_frobenius(fast, direct) < 1e-12
 
     def test_derivative_window_matches_direct_sum(self):
@@ -78,7 +63,7 @@ class TestStft:
         s = Signal(rng.normal(size=100), fs=20.0)
         w = gaussian_window(10, 0.15)
         fast = stft(s, w, 40, derivative=True).values
-        direct = stft_direct_sum(s, w, 40, derivative=True)
+        direct = stft_direct_sum(s.samples, w.dh, w.K, 40)
         assert rel_frobenius(fast, direct) < 1e-12
 
     def test_boundary_frame_zero_extension(self):
@@ -86,7 +71,7 @@ class TestStft:
         s = Signal(rng.normal(size=40), fs=10.0)
         w = gaussian_window(6, 0.2)
         fast = stft(s, w, 16).values
-        direct = stft_direct_sum(s, w, 16)
+        direct = stft_direct_sum(s.samples, w.h, w.K, 16)
         # first frame overhangs the start; must equal the zero-extended sum
         np.testing.assert_allclose(fast[0], direct[0], atol=1e-12)
 
@@ -192,14 +177,16 @@ class TestScipyReference:
     @pytest.mark.parametrize("n_rows", [1, 15, 16, 17, 250])
     @pytest.mark.parametrize("width", [2, 3, 17, 4097])
     def test_stct_rows_equal_dct_type_1(self, width, n_rows, gamma):
-        # Row counts straddle the cepstrum's sub-block of tfr._STCT_ROWS.
+        # Row counts straddle the kernel's tfr._CHUNK_FRAMES-frame blocks,
+        # which stct walks.
         rng = np.random.default_rng(width * 1000 + n_rows)
         mag = np.abs(rng.standard_normal((n_rows, width)))
         mag *= np.exp(rng.uniform(-20.0, 5.0, size=(n_rows, 1)))
         if n_rows > 1:
             mag[n_rows // 2] = 0.0  # an all-zero row among nonzero ones
         ref = np.maximum(scipy.fft.dct(mag**gamma, type=1, axis=1), 0.0)
-        self.assert_bitwise_equal(tfr._stct_rows(mag, gamma), ref)
+        grid = TFRGrid(mag, fs=10.0, fft_half=width - 1)
+        self.assert_bitwise_equal(stct(grid, gamma).values, ref)
 
     @pytest.mark.parametrize("K, M", [(4, 5), (8, 32), (30, 128), (50, 1009),
                                       (200, 1024)])
