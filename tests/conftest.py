@@ -51,11 +51,16 @@ def stft_direct_sum(x, taper, K, M):
     return (segs * taper) @ kernel
 
 
-def path_objective(mag, bins, penalty):
-    """Score one path with the same floor/normalization as the extractor."""
+def log_scores(mag):
+    """Per-cell log score with the same floor/normalization as the
+    extractor."""
     total = mag.sum()
-    score = np.log(np.maximum(mag, 1e-12 * total)) - np.log(total)
-    return float(score[np.arange(len(bins)), bins].sum()
+    return np.log(np.maximum(mag, 1e-12 * total)) - np.log(total)
+
+
+def path_objective(mag, bins, penalty):
+    """Score one path as the extractor does."""
+    return float(log_scores(mag)[np.arange(len(bins)), bins].sum()
                  - penalty * np.sum(np.diff(np.asarray(bins, float)) ** 2))
 
 
@@ -64,9 +69,7 @@ def enumerated_best(mag, penalty):
     resolved to the lexicographically smallest."""
     T, B = mag.shape
     paths = np.indices((B,) * T).reshape(T, -1).T  # one path per row, lexicographic
-    total = mag.sum()
-    score = np.log(np.maximum(mag, 1e-12 * total)) - np.log(total)
-    vals = score[np.arange(T), paths].sum(axis=1)
+    vals = log_scores(mag)[np.arange(T), paths].sum(axis=1)
     vals -= penalty * np.sum(np.diff(paths, axis=1).astype(float) ** 2, axis=1)
     best = paths[int(np.argmax(vals))]
     return best, path_objective(mag, best, penalty)
