@@ -6,6 +6,12 @@
 bout's data can never influence another bout's outputs. The transform chain
 itself is ``tfr.dsst``, which returns only what the run reads: the squeezed
 magnitudes in the search band, plus any requested full grids.
+
+``run_pipeline`` owns each bout's ``band_mag``: nothing reads it after the
+ridge, so the ridge scores it in place and a bout holds one band-sized
+array, not two. Library callers own theirs: ``analyze_bout`` and
+``extract_bout_ridge`` as called by default leave ``band_mag`` as
+``analyze_signal`` made it.
 """
 
 from __future__ import annotations
@@ -83,9 +89,12 @@ def analyze_signal(sig: Signal, cfg: PipelineConfig,
                         n_frames=band_mag.shape[0], grids=grids)
 
 
-def extract_bout_ridge(analysis: BoutAnalysis, penalty: float) -> RidgeCurve:
-    """Penalized ridge over the full band-restricted analysis block."""
-    bins, degenerate = ridge_dp(analysis.band_mag, penalty)
+def extract_bout_ridge(analysis: BoutAnalysis, penalty: float,
+                       out=None) -> RidgeCurve:
+    """Penalized ridge over the full band-restricted analysis block.
+    ``out`` goes to ``ridge_dp``: ``out=analysis.band_mag`` scores the block
+    in place, overwriting it."""
+    bins, degenerate = ridge_dp(analysis.band_mag, penalty, out=out)
     lo_bin, hi_bin = analysis.band_bins
     return RidgeCurve(bins=bins + lo_bin, band=(lo_bin, hi_bin),
                       degenerate=degenerate)
@@ -181,10 +190,17 @@ def slice_record(rec: TriaxialRecord, start_s=None,
 
 
 def _analyze_slice(sliced: TriaxialRecord, t0: float, cfg: PipelineConfig,
-                   collect):
+                   collect, consume_band=False):
+    """Analysis, ridge and trace of one slice. With ``consume_band`` the
+    ridge scores ``band_mag`` in place and the returned analysis has
+    ``band_mag = None``."""
     sig = preprocess(sliced, t0=t0)
     analysis = analyze_signal(sig, cfg, collect=collect)
-    ridge = extract_bout_ridge(analysis, cfg.ridge_lambda)
+    ridge = extract_bout_ridge(
+        analysis, cfg.ridge_lambda,
+        out=analysis.band_mag if consume_band else None)
+    if consume_band:
+        analysis.band_mag = None
     trace = cadence_from_ridge(ridge, fs=analysis.fs, fft_half=analysis.fft_half,
                                hop=analysis.hop, t0=t0)
     return analysis, ridge, trace
@@ -238,7 +254,8 @@ def run_pipeline(cfg: PipelineConfig, input_csv, labels_csv, outdir,
                 logger.warning("%s", msg)
                 warnings.append(msg)
             analysis, ridge, trace = _analyze_slice(sliced, t0, cfg,
-                                                    export_kinds)
+                                                    export_kinds,
+                                                    consume_band=True)
             if ridge.degenerate:
                 raise DataFormatError(
                     "degenerate ridge: band energy is all zero")

@@ -60,7 +60,7 @@ class CadenceTrace:
         return self.times.size
 
 
-def ridge_dp(mag: np.ndarray, penalty: float):
+def ridge_dp(mag: np.ndarray, penalty: float, out: np.ndarray | None = None):
     """Exact penalized-ridge dynamic program over a magnitude block.
 
     Maximizes ``sum_t log(mag[t, c(t)] / Z) - penalty * sum |c(t)-c(t-1)|^2``
@@ -79,6 +79,11 @@ def ridge_dp(mag: np.ndarray, penalty: float):
     from the full rows, with the same floats as a full comparison. O(T * B *
     W) time; besides the score block it keeps O(B) rows and a bounded
     candidate buffer, no pointer array and no B x B matrix.
+
+    The score block is a new array unless ``out``, a float64 array of
+    ``mag``'s shape, is given; ``out`` may be ``mag`` itself, which then
+    ends up overwritten with the backward sums. An all-zero block returns
+    before anything is written.
     """
     mag = np.asarray(mag, dtype=np.float64)
     if mag.ndim != 2 or mag.size == 0:
@@ -86,12 +91,15 @@ def ridge_dp(mag: np.ndarray, penalty: float):
     if not (math.isfinite(penalty) and penalty >= 0):
         raise ParameterError(f"penalty must be finite and >= 0, got {penalty}")
     T, B = mag.shape
+    if out is not None and (out.shape != mag.shape or out.dtype != np.float64):
+        raise StructuralError("ridge out must be a float64 array of the "
+                              "block's shape")
 
     total = mag.sum()
     if total <= 0:
         return np.zeros(T, dtype=np.int64), True
 
-    score = np.maximum(mag, ZERO_FLOOR_FRACTION * total)
+    score = np.maximum(mag, ZERO_FLOOR_FRACTION * total, out=out)
     np.log(score, out=score)
     score -= np.log(total)
 

@@ -107,8 +107,20 @@ class Window:
 
 
 def vector_magnitude(rec: TriaxialRecord) -> Signal:
-    """Euclidean magnitude of the three axes, sample by sample."""
-    mag = np.sqrt(rec.x**2 + rec.y**2 + rec.z**2)
+    """Euclidean magnitude of the three axes, sample by sample.
+
+    Raises ``ParameterError`` when the first infinite magnitude comes from
+    finite axes whose squared sum overflows float64 (an axis above about
+    1.3e154), naming that sample.
+    """
+    with np.errstate(over="ignore"):
+        mag = np.sqrt(rec.x**2 + rec.y**2 + rec.z**2)
+    inf = np.flatnonzero(np.isinf(mag))
+    if inf.size and all(np.isfinite(a[inf[0]]) for a in (rec.x, rec.y, rec.z)):
+        k = inf[0]
+        raise ParameterError(
+            f"sample {k}: the vector magnitude of the finite axes "
+            f"({rec.x[k]}, {rec.y[k]}, {rec.z[k]}) overflows float64")
     return Signal(mag, rec.fs)
 
 

@@ -4,7 +4,7 @@ The frequency axis of every grid has ``M + 1`` bins; bin ``m`` (zero-based)
 maps to ``m * fs / (2M)`` Hz. Frames advance by ``hop`` samples, so frame
 ``n`` (zero-based) sits at time ``t0 + n * hop / fs``. All transforms are
 pure and frames are independent, so the kernel splits a signal's frames
-into an even number of near-equal blocks of at most 16 frames and
+into an even number of near-equal blocks of at most 8 frames and
 computes them on a small thread pool itself, each block writing its own
 rows of the outputs, in whatever order the blocks finish.
 
@@ -27,6 +27,7 @@ independent references are ``scipy.fft`` and the direct-sum STFT oracle.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -44,12 +45,14 @@ KIND_SST = "sst"
 KIND_DSSST = "dssst"
 GRID_KINDS = (KIND_STFT, KIND_STCT, KIND_ISTCT, KIND_DSSTFT, KIND_SST, KIND_DSSST)
 
-# Most frames per block. A block's stage arrays peak at 5.5 MB under
-# tracemalloc at M = 4096, 6.8 MB with the full-width squeeze.
-_CHUNK_FRAMES = 16
+# Most frames per block. On one worker at M = 4096, the kernel's memory
+# beyond its outputs peaks at 2.9 MB under tracemalloc, 3.7 MB with the
+# full-width squeeze (5.6 and 7.0 MB with 16-frame blocks).
+_CHUNK_FRAMES = 8
 # Most worker threads, hence most blocks computed at once. Each block holds
 # its own stage arrays, so the kernel's memory beyond its outputs grows
-# linearly with this cap: about 11 MB for two blocks at M = 4096.
+# linearly with this cap: 5.6 MB for two blocks at M = 4096, 7.1 MB with
+# the full-width squeeze.
 _MAX_IN_FLIGHT = 2
 
 
@@ -436,10 +439,14 @@ def dsst(s: Signal, w: Window, fft_half: int, hop: int, gamma: float,
     into every column when the dssst grid is kept. A block builds at most
     one mask and writes each kept grid's rows in place.
 
-    Blocks run on a thread pool of ``_pool_size()`` workers, one core each,
-    and each writes its own rows of the outputs, so the blocks may finish in
-    any order and every row is bitwise equal to a serial computation. An
-    error in a block is raised here, after the pool has shut down.
+    Blocks run on a thread pool of ``_pool_size()`` workers, one core each.
+    Each worker takes the next block until none is left, so the pool holds
+    one task per worker; a future per block would cost about 2 KB per
+    block (15 MB on a 10-min hop-1 bout). Each block writes its own rows of
+    the outputs, so the blocks may finish in any order and every row is
+    bitwise equal to a serial computation. An error in a block stops the
+    workers from taking further blocks and is raised here, after the pool
+    has shut down.
     """
     _check_dft_length(w, fft_half)
     frames = _frames(s.samples, w.K, hop)
@@ -456,7 +463,25 @@ def dsst(s: Signal, w: Window, fft_half: int, hop: int, gamma: float,
                    band_mag[rows],
                    {kind: grid[rows] for kind, grid in grids.items()})
 
-    with ThreadPoolExecutor(_pool_size()) as pool:
-        # Reading the results re-raises a failed block's error.
-        list(pool.map(block, _frame_blocks(n)))
+    blocks = iter(_frame_blocks(n))
+    take = threading.Lock()
+
+    def worker(_):
+        while True:
+            with take:
+                rows = next(blocks, None)
+            if rows is None:
+                return
+            try:
+                block(rows)
+            except BaseException:
+                with take:
+                    for _ in blocks:  # no worker starts another block
+                        pass
+                raise
+
+    workers = _pool_size()
+    with ThreadPoolExecutor(workers) as pool:
+        # Reading the results re-raises a failed worker's error.
+        list(pool.map(worker, range(workers)))
     return band_mag, grids

@@ -1,9 +1,12 @@
 """Command-line interface: subcommand flows and exit codes."""
 
+import json
 import logging
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +168,24 @@ class TestRun:
         code = main(["run", str(bad_csv), str(labels_path),
                      "-o", str(tmp_path / "out")] + FAST_FLAGS)
         assert code == 2
+
+    def test_overflowing_magnitude_is_data_error(self, synth_files, tmp_path):
+        _, csv_path, labels_path, _ = synth_files
+        lines = csv_path.read_text().splitlines()
+        for i in range(1, len(lines)):
+            t, _, y, z = lines[i].split(",")
+            lines[i] = ",".join([t, "1.5e160", y, z])
+        bad_csv = tmp_path / "huge.csv"
+        bad_csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["run", str(bad_csv), str(labels_path), "-o", str(out)]
+                        + FAST_FLAGS)
+        assert code == 2
+        [bout] = json.loads((out / "report.json").read_text())["bouts"]
+        assert re.fullmatch(r"sample 0: the vector magnitude .* overflows float64",
+                            bout["message"])
 
     @pytest.mark.parametrize("row", ["2,inf,1", "-inf,5,1"])
     def test_non_finite_label_bound_is_data_error(self, synth_files, tmp_path,

@@ -12,8 +12,8 @@ from gaitcadence.cli import main
 from gaitcadence.config import PipelineConfig
 from gaitcadence.errors import DataFormatError, ParameterError
 from gaitcadence.io import load_trace_csv, write_labels_csv, write_triaxial_csv
-from gaitcadence.pipeline import (analyze_bout, analyze_signal, run_pipeline,
-                                  slice_record)
+from gaitcadence.pipeline import (analyze_bout, analyze_signal, preprocess,
+                                  run_pipeline, slice_record)
 from gaitcadence.synth import ConstantProfile
 
 from conftest import as_record, make_walk
@@ -73,6 +73,19 @@ class TestAnalyzeBout:
         n_bins = analysis.fft_half + 1
         assert analysis.grids["stft"].shape == (analysis.n_frames, n_bins)
         assert np.all(analysis.grids["dssst"] >= 0.0)
+
+    def test_band_mag_left_as_analyze_signal_made_it(self):
+        # The run's ridge scores band_mag in place; a library caller's
+        # analysis must still hold the magnitudes.
+        _, res = make_walk(duration_s=28.0, bout=(2.0, 26.0), fs=50.0, seed=5)
+        rec = as_record(res)
+        cfg = fast_config(hop=5)
+        bout = BoutInterval(2.0, 26.0, 1)
+        analysis, ridge, _ = analyze_bout(rec, bout, cfg)
+        sliced, t0, _ = slice_record(rec, bout.start_s, bout.end_s)
+        direct = analyze_signal(preprocess(sliced, t0=t0), cfg)
+        assert not ridge.degenerate
+        assert analysis.band_mag.tobytes() == direct.band_mag.tobytes()
 
     def test_zero_hop_rejected_without_validation(self):
         _, res = make_walk(duration_s=28.0, bout=(2.0, 26.0), fs=50.0, seed=5)
@@ -305,6 +318,22 @@ class TestRunPipeline:
         assert [b.status for b in report.bouts] == (
             ["error"] * 2 if export_fails else ["ok"] * 2)
         assert alive_at_start == [[], [False]]
+
+    def test_ridge_scores_band_mag_in_place(self, small_fixture, tmp_path,
+                                            monkeypatch):
+        import gaitcadence.pipeline as pipeline
+        ridge_dp, in_place = pipeline.ridge_dp, []
+
+        def spy(mag, penalty, out=None):
+            in_place.append(out is mag)
+            return ridge_dp(mag, penalty, out=out)
+
+        monkeypatch.setattr(pipeline, "ridge_dp", spy)
+        csv_path, labels_path = small_fixture
+        report = run_pipeline(fast_config(hop=10), csv_path, labels_path,
+                              tmp_path / "out")
+        assert [b.status for b in report.bouts] == ["ok"]
+        assert in_place == [True]
 
     def test_per_bout_isolation(self, tmp_path):
         spec, res = make_walk(duration_s=60.0, bout=(2.0, 26.0), fs=50.0,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaitcadence.errors import ParameterError
+from gaitcadence.errors import ParameterError, StructuralError
 from gaitcadence.pipeline import BoutAnalysis, extract_bout_ridge
 from gaitcadence.ridge import band_to_bins, cadence_from_ridge, ridge_dp
 
@@ -123,6 +123,9 @@ class TestRidgeDP:
         bins, degenerate = ridge_dp(mag, penalty)
         assert not degenerate
         np.testing.assert_array_equal(bins, pointer_dp(mag, penalty))
+        # Scoring the block in place gives the same bins.
+        in_place, _ = ridge_dp(mag, penalty, out=mag)
+        np.testing.assert_array_equal(in_place, bins)
 
     @pytest.mark.parametrize("penalty", [1.0, 1e-6])
     def test_whole_axis_block_memory_is_bounded(self, penalty):
@@ -173,6 +176,51 @@ class TestRidgeDP:
         for penalty in (-1.0, math.nan, math.inf):
             with pytest.raises(ParameterError):
                 ridge_dp(np.ones((2, 2)), penalty=penalty)
+
+
+class TestRidgeInPlace:
+    @pytest.mark.parametrize("penalty", [0.0, 1e-3, 0.1, 1.0, 10.0, 1e6])
+    def test_in_place_matches_copy_on_ties(self, penalty):
+        rng = np.random.default_rng(26)
+        uniform = rng.uniform(0.0, 4.0, size=(6, 8))
+        blocks = [np.full((4, 5), 1.3),
+                  np.array([[1.0, 5.0, 1.0], [2.0, 1.0, 2.0]]),
+                  uniform + uniform[:, ::-1],
+                  rng.integers(1, 3, size=(6, 8)).astype(np.float64)]
+        for mag in blocks:
+            want, _ = ridge_dp(mag.copy(), penalty)
+            bins, _ = ridge_dp(mag, penalty, out=mag)
+            np.testing.assert_array_equal(bins, want)
+
+    def test_all_zero_block_writes_nothing(self):
+        out = np.full((4, 5), 7.0)
+        bins, degenerate = ridge_dp(np.zeros((4, 5)), 1.0, out=out)
+        assert degenerate
+        assert np.all(bins == 0)
+        assert np.all(out == 7.0)
+
+    def test_default_call_leaves_input_unchanged(self):
+        mag = np.random.default_rng(27).uniform(0.0, 1.0, size=(40, 30))
+        before = mag.tobytes()
+        ridge_dp(mag, 0.5)
+        assert mag.tobytes() == before
+
+    @pytest.mark.parametrize("out", [np.empty((4, 6)), np.empty((4, 5), np.float32)])
+    def test_wrong_out_rejected(self, out):
+        with pytest.raises(StructuralError, match="out"):
+            ridge_dp(np.ones((4, 5)), 1.0, out=out)
+
+    def test_in_place_memory_is_not_the_block(self):
+        # steady60's block: 6000 frames x 180 bins, 8.6 MB; the copying call
+        # peaks at 8.87 MB under tracemalloc.
+        mag = np.random.default_rng(28).uniform(0.0, 1.0, size=(6000, 180))
+        tracemalloc.start()
+        try:
+            ridge_dp(mag, 1.0, out=mag)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestExtractRidge:

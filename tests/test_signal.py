@@ -1,6 +1,7 @@
 """Signal containers and preprocessing."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,28 @@ class TestVectorMagnitude:
     def test_unknown_location_rejected(self):
         with pytest.raises(ParameterError):
             TriaxialRecord(x=[1.0], y=[1.0], z=[1.0], fs=100.0, location="arm")
+
+    def test_overflow_named_without_warning(self):
+        x = np.ones(20)
+        x[5:] = 1.5e160
+        rec = TriaxialRecord(x=x, y=np.zeros(20), z=np.zeros(20), fs=100.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError,
+                               match=r"sample 5: .*\(1\.5e\+160, 0\.0, 0\.0\) "
+                                     "overflows"):
+                vector_magnitude(rec)
+
+    def test_largest_finite_magnitude_passes(self):
+        big = 1e154  # squared, 1e308 < float64 max
+        rec = TriaxialRecord(x=[big], y=[0.0], z=[0.0], fs=100.0)
+        assert vector_magnitude(rec).samples[0] == pytest.approx(big)
+
+    def test_infinite_axis_is_not_an_overflow(self):
+        rec = TriaxialRecord(x=[1.0, math.inf], y=[0.0, 1e200], z=[0.0, 0.0],
+                             fs=100.0)
+        with pytest.raises(ParameterError, match="sample 1 is not finite"):
+            vector_magnitude(rec)
 
 
 def detrend(x, order):

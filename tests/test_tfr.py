@@ -174,11 +174,11 @@ class TestScipyReference:
         assert out.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("gamma", [0.3, 1.0])
-    @pytest.mark.parametrize("n_rows", [1, 15, 16, 17, 250])
+    @pytest.mark.parametrize("n_rows", [1, 7, 8, 9, 15, 16, 17, 250])
     @pytest.mark.parametrize("width", [2, 3, 17, 4097])
     def test_stct_rows_equal_dct_type_1(self, width, n_rows, gamma):
-        # Row counts straddle the kernel's tfr._CHUNK_FRAMES-frame blocks,
-        # which stct walks.
+        # Row counts straddle one and two blocks of tfr._CHUNK_FRAMES
+        # frames, which stct walks.
         rng = np.random.default_rng(width * 1000 + n_rows)
         mag = np.abs(rng.standard_normal((n_rows, width)))
         mag *= np.exp(rng.uniform(-20.0, 5.0, size=(n_rows, 1)))
@@ -580,8 +580,9 @@ class TestFrameBlocks:
             assert len(blocks) % tfr._MAX_IN_FLIGHT == 0
 
     @pytest.mark.parametrize("n, sizes", [
-        (1, [1]), (255, [15] + [16] * 15), (360, [15] * 24),
-        (6000, ([15] + [16] * 22 + [15] + [16] * 23) * 8)])
+        (1, [1]), (255, [7] + [8] * 31),
+        (360, ([7] + [8] * 4 + ([7] + [8] * 5) * 3) * 2), (6000, [8] * 750),
+        (7, [3, 4]), (20, [5] * 4)])
     def test_known_layouts(self, n, sizes):
         assert [rows.stop - rows.start for rows in tfr._frame_blocks(n)] == sizes
 
@@ -597,7 +598,7 @@ class TestFrameBlocks:
         assert layouts[1] == layouts[2] == expected
 
     def test_short_bout_yields_two_blocks(self, monkeypatch):
-        n = tfr._CHUNK_FRAMES - 7
+        n = tfr._CHUNK_FRAMES - 1
         sizes = block_sizes(walk_signal(n=n), small_config(1), monkeypatch)
         assert sizes == [n // 2, n - n // 2]
 
@@ -605,7 +606,7 @@ class TestFrameBlocks:
 class TestChunkedChain:
     @pytest.mark.parametrize("hop", [1, 3])
     def test_matches_full_grid_chain(self, hop):
-        # 1600 and 534 frames: 100 blocks of 16 and 34 of 15 or 16
+        # 1600 and 534 frames: 200 blocks of 8 and 68 of 7 or 8
         sig = walk_signal()
         cfg = small_config(hop)
         analysis = analyze_signal(sig, cfg, collect=GRID_KINDS)
@@ -734,6 +735,9 @@ class TestChunkedChain:
         with pytest.raises(RuntimeError, match="block failed"):
             kernel(walk_signal(), small_config(1))
         assert threading.active_count() == before
+        # Of 200 blocks, the other worker finishes at most the one it holds
+        # and one it took before the failure drained the rest.
+        assert next(calls) <= 3
 
     @pytest.mark.parametrize("hop", [1, 3])
     def test_collecting_dssst_keeps_band_mag(self, hop):
@@ -749,9 +753,10 @@ class TestChunkedChain:
 
 class TestKernelMemory:
     def test_memory_beyond_band_mag_does_not_grow_with_the_bout(self):
-        # Default configuration, hop 1, 100 Hz: blocks of 16 frames x 4097
-        # bins, two at a time, hold ~11 MB of stage arrays at the peak.
-        # Blocks of 256 frames peaked at ~170 MB on the 60 s bout.
+        # Default configuration, hop 1, 100 Hz: blocks of 8 frames x 4097
+        # bins, two at a time, hold ~5.6 MB of stage arrays at the peak, and
+        # the 60 s bout peaks at 14.3 MB with its 8.6 MB band_mag. Blocks of
+        # 16 frames peaked at 19.5 MB, blocks of 256 frames at ~170 MB.
         cfg = PipelineConfig().validate()
         peaks, band_bytes = {}, {}
         for seconds in (30, 60):
@@ -765,5 +770,21 @@ class TestKernelMemory:
             finally:
                 tracemalloc.stop()
             band_bytes[seconds] = band_mag.nbytes
-        assert peaks[60] < 48e6
+        assert peaks[60] < 17.5e6
         assert peaks[60] - peaks[30] < band_bytes[60] - band_bytes[30] + 2**21
+
+    def test_memory_beyond_band_mag_does_not_grow_with_the_block_count(self):
+        # 250 against 2000 blocks of 8 small frames. A queued future per
+        # block (~2 KB) would add ~3.4 MB.
+        cfg = small_config(1)
+        extra = {}
+        for n in (2000, 16000):
+            sig = walk_signal(n=n)
+            tracemalloc.start()
+            try:
+                band_mag, _ = kernel(sig, cfg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            extra[n] = peak - band_mag.nbytes
+        assert extra[16000] - extra[2000] < 1e6
