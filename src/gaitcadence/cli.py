@@ -297,7 +297,7 @@ def main(argv=None) -> int:
     except click.exceptions.Abort:
         click.echo("aborted", err=True)
         return EXIT_INTERNAL
-    except (DataFormatError, FileNotFoundError) as exc:
+    except (DataFormatError, FileNotFoundError, IsADirectoryError) as exc:
         click.echo(f"data error: {exc}", err=True)
         return EXIT_DATA
     except CadenceError as exc:

@@ -107,6 +107,9 @@ def load_triaxial_csv(path, fs_hint: float | None = None,
     With a time column the sampling rate is the reciprocal of the median
     interval, and every interval must stay within 1% of that median. Every
     value must be finite.
+
+    The axes are contiguous copies, so the parsed ``(rows, columns)``
+    matrix, time column included, is freed on return.
     """
     path = Path(path)
     headers = (["t", "x", "y", "z"], ["x", "y", "z"])
@@ -151,8 +154,8 @@ def load_triaxial_csv(path, fs_hint: float | None = None,
     else:
         fs = fs_hint
         xyz = data
-    return TriaxialRecord(x=xyz[:, 0], y=xyz[:, 1], z=xyz[:, 2], fs=fs,
-                          location=location)
+    x, y, z = (xyz[:, i].copy() for i in range(3))
+    return TriaxialRecord(x=x, y=y, z=z, fs=fs, location=location)
 
 
 def write_triaxial_csv(path, rec: TriaxialRecord):
@@ -267,7 +270,8 @@ def check_tfr_format(fmt: str):
 
 # Bytes of one row chunk of float64 magnitudes: an export holds one chunk
 # at a time (plus the uint8 image for a PGM), whatever the grid's size.
-_EXPORT_CHUNK_BYTES = 2 << 20
+# 8 rows at 4097 bins; the export phase sets a multi-bout run's peak.
+_EXPORT_CHUNK_BYTES = 256 << 10
 
 
 def _magnitude_chunks(values: np.ndarray):
@@ -339,7 +343,7 @@ def export_tfr(tfr: TFRGrid, path, fmt: str = "csv"):
     ``f64le``: one JSON metadata line then the raw little-endian float64
     matrix, row-major.
 
-    The magnitudes are streamed in row chunks of about 2 MB, so an export
+    The magnitudes are streamed in row chunks of about 256 KB, so an export
     holds one chunk at a time, plus the uint8 image for a PGM, whatever the
     grid's size. A PGM reads the grid twice: once for its clip level, once
     for its pixels.

@@ -5,8 +5,9 @@ maps to ``m * fs / (2M)`` Hz. Frames advance by ``hop`` samples, so frame
 ``n`` (zero-based) sits at time ``t0 + n * hop / fs``. All transforms are
 pure and frames are independent, so the kernel splits a signal's frames
 into an even number of near-equal blocks of at most 8 frames and
-computes them on a small thread pool itself, each block writing its own
-rows of the outputs, in whatever order the blocks finish.
+computes them on the calling thread beside at most one helper thread,
+each block writing its own rows of the outputs, in whatever order the
+blocks finish.
 
 Both transforms are ``numpy.fft.rfft``: the STFT of each tapered,
 zero-padded frame, and the short-time cepstrum, the rfft of the even
@@ -46,13 +47,14 @@ KIND_DSSST = "dssst"
 GRID_KINDS = (KIND_STFT, KIND_STCT, KIND_ISTCT, KIND_DSSTFT, KIND_SST, KIND_DSSST)
 
 # Most frames per block. On one worker at M = 4096, the kernel's memory
-# beyond its outputs peaks at 2.9 MB under tracemalloc, 3.7 MB with the
-# full-width squeeze (5.6 and 7.0 MB with 16-frame blocks).
+# beyond its outputs peaks at 2.4 MB under tracemalloc, 2.3 MB with the
+# full-width squeeze (5.6 and 7.0 MB with 16-frame blocks and every stage
+# array held to the block's end).
 _CHUNK_FRAMES = 8
-# Most worker threads, hence most blocks computed at once. Each block holds
-# its own stage arrays, so the kernel's memory beyond its outputs grows
-# linearly with this cap: 5.6 MB for two blocks at M = 4096, 7.1 MB with
-# the full-width squeeze.
+# Most worker threads, the calling one included, hence most blocks computed
+# at once. Each block holds its own stage arrays, so the kernel's memory
+# beyond its outputs grows linearly with this cap: 4.6 MB for two blocks at
+# M = 4096, 4.4 MB with the full-width squeeze.
 _MAX_IN_FLIGHT = 2
 
 
@@ -212,8 +214,9 @@ def _istct_rows(ceps: np.ndarray, table, out=None) -> np.ndarray:
     """The de-shape mask of cepstral rows, by the ``_istct_interp_table``
     of their width, written into ``out`` when given."""
     valid, col_lo, weight = table
-    u = np.multiply(ceps[:, col_lo], 1.0 - weight, out=out)
-    upper = ceps[:, col_lo - 1]
+    # np.take releases the GIL while it gathers; fancy indexing does not.
+    u = np.multiply(np.take(ceps, col_lo, axis=1), 1.0 - weight, out=out)
+    upper = np.take(ceps, col_lo - 1, axis=1)
     upper *= weight
     u += upper
     u[:, ~valid] = 0.0
@@ -269,10 +272,13 @@ def deshape(v: TFRGrid, u: TFRGrid) -> TFRGrid:
 
 def _omega_rows(v_rows: np.ndarray, vd_rows: np.ndarray, vmag: np.ndarray,
                 upsilon: float, window_half: int, fft_half: int) -> np.ndarray:
-    """Reassignment rule of one block; ``vmag`` is ``|v_rows|``."""
+    """Reassignment rule of one block; ``vmag`` is ``|v_rows|``.
+
+    ``V'/V`` is divided in place into ``vd_rows`` where ``vmag`` exceeds
+    ``upsilon``; the other cells keep ``V'`` and their rule is ``-inf``.
+    """
     mask = vmag > upsilon
-    ratio = np.zeros_like(v_rows)
-    np.divide(vd_rows, v_rows, out=ratio, where=mask)
+    ratio = np.divide(vd_rows, v_rows, out=vd_rows, where=mask)
     scale = 2.0 * fft_half / (2.0 * np.pi * (2 * window_half + 1))
     cols = np.arange(v_rows.shape[1], dtype=np.float64)
     omega = cols[None, :] - ratio.imag * scale
@@ -295,8 +301,8 @@ def reassignment_operator(v: TFRGrid, vd: TFRGrid, upsilon: float,
         )
     if not upsilon > 0:
         raise ParameterError(f"upsilon must be positive, got {upsilon}")
-    omega = _omega_rows(v.values, vd.values, np.abs(v.values), upsilon,
-                        window_half, v.fft_half)
+    omega = _omega_rows(v.values, vd.values.astype(np.complex128),
+                        np.abs(v.values), upsilon, window_half, v.fft_half)
     return OmegaMatrix(omega)
 
 
@@ -369,27 +375,32 @@ def synchrosqueeze(src: TFRGrid, omega: OmegaMatrix) -> TFRGrid:
                    kind=kind, t0=src.t0)
 
 
-def _dsst_rows(v: np.ndarray, vd: np.ndarray, window_half: int,
-               fft_half: int, gamma: float, upsilon: float, band, table,
-               band_rows: np.ndarray, out: dict) -> None:
+def _dsst_rows(frames: np.ndarray, w: Window, fft_half: int, gamma: float,
+               upsilon: float, band, table, band_rows: np.ndarray,
+               out: dict) -> None:
     """Fill one block's rows of ``band_mag`` (``band_rows``) and of each kept
-    grid (``out``: kind -> rows) from its STFT pair rows ``V``, ``V'``;
-    ``table`` is the call's ``_istct_interp_table``.
+    grid (``out``: kind -> rows) from its analysis ``frames``; ``table`` is
+    the call's ``_istct_interp_table``.
 
     Each stage runs once, on one core: the kernel computes blocks side by
-    side instead.
+    side instead. ``V'`` is computed after the cepstrum has freed its
+    buffers, and each stage array is dropped after its last reader.
     """
+    v = _stft_rows(frames, w.h, fft_half)
     vmag = np.abs(v, out=out.get(KIND_STFT))
     ceps = _stct_rows(vmag, gamma, out=out.get(KIND_STCT))
-    omega = _omega_rows(v, vd, vmag, upsilon, window_half, fft_half)
-    if out.keys() & {KIND_ISTCT, KIND_DSSTFT, KIND_DSSST}:
-        w = v * _istct_rows(ceps, table, out=out.get(KIND_ISTCT))
-        if KIND_DSSTFT in out:
-            np.abs(w, out=out[KIND_DSSTFT])
+    vd = _stft_rows(frames, w.dh, fft_half)  # after the cepstrum's buffers
+    omega = _omega_rows(v, vd, vmag, upsilon, w.K, fft_half)
+    del vd, vmag
     if KIND_SST in out:
         np.abs(_squeeze_rows(v, omega, 0, fft_half), out=out[KIND_SST])
+    if out.keys() & {KIND_ISTCT, KIND_DSSTFT, KIND_DSSST}:
+        ds = v * _istct_rows(ceps, table, out=out.get(KIND_ISTCT))
+        if KIND_DSSTFT in out:
+            np.abs(ds, out=out[KIND_DSSTFT])
     if KIND_DSSST in out:
-        dssst = np.abs(_squeeze_rows(w, omega, 0, fft_half),
+        del v, ceps
+        dssst = np.abs(_squeeze_rows(ds, omega, 0, fft_half),
                        out=out[KIND_DSSST])
         band_rows[:] = dssst[:, band[0] : band[1] + 1]
     else:
@@ -433,20 +444,23 @@ def dsst(s: Signal, w: Window, fft_half: int, hop: int, gamma: float,
     blocks of near-equal size, at most ``_CHUNK_FRAMES`` frames each, so the
     memory beyond the outputs does not grow with the bout, and a bout shorter
     than two full blocks still gives each worker half of it.
-    Per block, each stage runs once: STFT pair ``V``, ``V'`` -> cepstrum of
-    ``|V|^gamma`` -> reassignment rule from ``V'/V`` -> ``W = V * mask``
-    squeezed into the band, de-shaping only the cells that land there, or
-    into every column when the dssst grid is kept. A block builds at most
-    one mask and writes each kept grid's rows in place.
+    Per block, each stage runs once: STFT ``V`` -> cepstrum of
+    ``|V|^gamma`` -> STFT ``V'`` -> reassignment rule from ``V'/V`` ->
+    ``W = V * mask`` squeezed into the band, de-shaping only the cells that
+    land there, or into every column when the dssst grid is kept. A block
+    builds at most one mask, writes each kept grid's rows in place and drops
+    each stage array after its last reader.
 
-    Blocks run on a thread pool of ``_pool_size()`` workers, one core each.
-    Each worker takes the next block until none is left, so the pool holds
-    one task per worker; a future per block would cost about 2 KB per
+    Blocks run on ``_pool_size()`` threads, one core each: the calling
+    thread and ``_pool_size() - 1`` helpers, so one usable core starts no
+    thread, and two cores add one thread's malloc arena, not two.
+    Each thread takes the next block until none is left, so the pool holds
+    one task per helper; a future per block would cost about 2 KB per
     block (15 MB on a 10-min hop-1 bout). Each block writes its own rows of
     the outputs, so the blocks may finish in any order and every row is
-    bitwise equal to a serial computation. An error in a block stops the
-    workers from taking further blocks and is raised here, after the pool
-    has shut down.
+    bitwise equal to a serial computation. An error in a block stops every
+    thread from taking further blocks and is raised here, after the helpers
+    have stopped.
     """
     _check_dft_length(w, fft_half)
     frames = _frames(s.samples, w.K, hop)
@@ -456,32 +470,31 @@ def dsst(s: Signal, w: Window, fft_half: int, hop: int, gamma: float,
              if kind in kinds}
     table = _istct_interp_table(fft_half)  # one for every block
 
-    def block(rows):
-        pair = (_stft_rows(frames[rows], taper, fft_half)
-                for taper in (w.h, w.dh))
-        _dsst_rows(*pair, w.K, fft_half, gamma, upsilon, band, table,
-                   band_mag[rows],
-                   {kind: grid[rows] for kind, grid in grids.items()})
-
     blocks = iter(_frame_blocks(n))
     take = threading.Lock()
 
-    def worker(_):
+    def worker():
         while True:
             with take:
                 rows = next(blocks, None)
             if rows is None:
                 return
             try:
-                block(rows)
+                _dsst_rows(frames[rows], w, fft_half, gamma, upsilon, band,
+                           table, band_mag[rows],
+                           {kind: grid[rows] for kind, grid in grids.items()})
             except BaseException:
                 with take:
-                    for _ in blocks:  # no worker starts another block
+                    for _ in blocks:  # no thread starts another block
                         pass
                 raise
 
     workers = _pool_size()
+    # Threads start on submit only, so one worker starts none.
     with ThreadPoolExecutor(workers) as pool:
-        # Reading the results re-raises a failed worker's error.
-        list(pool.map(worker, range(workers)))
+        helpers = [pool.submit(worker) for _ in range(workers - 1)]
+        worker()
+        # Reading the results re-raises a failed helper's error.
+        for helper in helpers:
+            helper.result()
     return band_mag, grids

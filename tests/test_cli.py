@@ -38,6 +38,14 @@ def synth_files(tmp_path_factory):
     return d, csv_path, labels_path, truth_path
 
 
+def assert_data_error(code, capsys, path):
+    """Exit 2 with a one-line ``data error`` naming ``path``, no traceback."""
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(path) in err
+    assert "Traceback" not in err
+
+
 class TestSynth:
     def test_writes_files(self, synth_files):
         _, csv_path, labels_path, truth_path = synth_files
@@ -157,6 +165,16 @@ class TestRun:
                      str(tmp_path / "nope_labels.csv"),
                      "-o", str(tmp_path / "out")])
         assert code == 2
+
+    @pytest.mark.parametrize("which", ["input", "labels"])
+    def test_directory_path_is_data_error(self, synth_files, tmp_path, capsys,
+                                          which):
+        _, csv_path, labels_path, _ = synth_files
+        paths = {"input": str(csv_path), "labels": str(labels_path)}
+        paths[which] = str(tmp_path)
+        code = main(["run", paths["input"], paths["labels"],
+                     "-o", str(tmp_path / "out")] + FAST_FLAGS)
+        assert_data_error(code, capsys, tmp_path)
 
     def test_non_finite_sample_is_data_error(self, synth_files, tmp_path):
         _, csv_path, labels_path, _ = synth_files
@@ -286,6 +304,10 @@ class TestTfrCommand:
         assert code == 1
         assert not out.exists()
 
+    def test_directory_input_is_data_error(self, tmp_path, capsys):
+        code = main(["tfr", str(tmp_path), "-o", str(tmp_path / "x.csv")])
+        assert_data_error(code, capsys, tmp_path)
+
     def test_empty_range_is_data_error(self, synth_files, tmp_path):
         _, csv_path, _, _ = synth_files
         code = main(["tfr", str(csv_path), "-o", str(tmp_path / "x.csv"),
@@ -398,6 +420,10 @@ class TestCompare:
         row = lines[1].split(",")
         assert float(row[0]) == 0.0  # identical runs agree exactly
         assert float(row[1]) == 0.0
+
+    def test_directory_trace_is_data_error(self, tmp_path, capsys):
+        code = main(["compare", str(tmp_path), str(tmp_path)])
+        assert_data_error(code, capsys, tmp_path)
 
     def test_version_flag(self):
         assert main(["--version"]) == 0

@@ -1,6 +1,7 @@
 """CSV ingestion, trace round trips, and TFR export formats."""
 
 import contextlib
+import itertools
 import json
 import tracemalloc
 from unittest import mock
@@ -117,6 +118,27 @@ class TestTriaxialCsv:
         assert io._parse_floats(p, (["t", "x", "y", "z"],))[1] is None
         rec = load_triaxial_csv(p)
         assert rec.x.tolist() == [1.0, 10.0]
+
+    @pytest.mark.parametrize("time", [True, False], ids=["t", "no-t"])
+    @pytest.mark.parametrize("field", ["10", "1_0"], ids=["loadtxt", "per-row"])
+    def test_axes_hold_no_parsed_matrix(self, tmp_path, time, field):
+        # "1_0" takes the per-row path. Each axis owns contiguous data, so the
+        # parsed (rows, columns) matrix, time column included, is freed.
+        header, rows = "x,y,z", [["1", "2", "3"], [field, "5", "6"]]
+        if time:
+            header = "t," + header
+            rows = [[str(i / 100)] + row for i, row in enumerate(rows)]
+        p = tmp_path / "rec.csv"
+        p.write_text("\n".join([header] + [",".join(r) for r in rows]) + "\n")
+        parsed = io._parse_floats(p, (header.split(","),))[1]
+        assert (parsed is None) == (field == "1_0")
+        rec = load_triaxial_csv(p, fs_hint=100.0)
+        axes = (rec.x, rec.y, rec.z)
+        assert [a.tolist() for a in axes] == [[1, 10], [2, 5], [3, 6]]
+        for a in axes:
+            assert a.flags.c_contiguous and a.flags.owndata
+        for a, b in itertools.combinations(axes, 2):
+            assert not np.may_share_memory(a, b)
 
     @pytest.mark.parametrize("text", ["t,x,y,z\n", "t,x,y,z\n\n\n",
                                       "t,x,y,z\n0,1,2\n"])
@@ -297,8 +319,8 @@ class TestExportTfr:
 
     @pytest.mark.parametrize("n", [101, 4097, 37 * 4097, 377 * 4097])
     def test_clip_level_on_grid_sized_input(self, n):
-        # Rows of up to 4097 bins; 377 rows are six chunks of 63, the last
-        # one ragged.
+        # Rows of up to 4097 bins; 377 rows are 48 chunks of 8, the last
+        # one a single row.
         rng = np.random.default_rng(n)
         a = rng.exponential(size=n)
         a[rng.uniform(size=n) < 0.3] = 0.0  # ties, as below-threshold cells
@@ -462,12 +484,13 @@ class TestStreamedExport:
     def test_peak_memory_under_half_the_grid(self, tmp_path, fmt):
         # The CSV writer formats each value in Python, which is slow under
         # tracemalloc, so its grid is ten times narrower, streamed in chunks
-        # of 63 rows, the default chunk's row count at 4097 bins. The other
-        # formats run with the default chunk size.
+        # of the default chunk's row count at 4097 bins. The other formats
+        # run with the default chunk size.
         n_bins = 410 if fmt == "csv" else 4097
         values = np.random.default_rng(7).exponential(size=(377, n_bins))
         grid = TFRGrid(values, fs=10.0, fft_half=n_bins - 1, kind="dssst")
-        with (chunk_rows(values, 63) if fmt == "csv"
+        rows = io._EXPORT_CHUNK_BYTES // (8 * 4097)
+        with (chunk_rows(values, rows) if fmt == "csv"
               else contextlib.nullcontext()):
             tracemalloc.start()
             try:

@@ -1,6 +1,8 @@
 """Time-frequency transforms against direct-summation oracles."""
 
+import collections
 import itertools
+import sys
 import threading
 import tracemalloc
 
@@ -739,6 +741,79 @@ class TestChunkedChain:
         # and one it took before the failure drained the rest.
         assert next(calls) <= 3
 
+    def test_error_in_the_callers_first_block_stops_the_helper(
+            self, monkeypatch):
+        monkeypatch.setattr(tfr, "_pool_size", lambda: 2)
+        calls, failed_at = itertools.count(), []
+        dsst_rows = tfr._dsst_rows
+
+        def failing_callers_first_block(*args, **kwargs):
+            call = next(calls)
+            if (threading.current_thread() is threading.main_thread()
+                    and not failed_at):
+                failed_at.append(call)
+                raise RuntimeError("caller's block failed")
+            return dsst_rows(*args, **kwargs)
+
+        monkeypatch.setattr(tfr, "_dsst_rows", failing_callers_first_block)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="caller's block failed"):
+            kernel(walk_signal(), small_config(1))
+        assert threading.active_count() == before
+        # On one core the helper may compute many blocks before the caller
+        # takes its first. After the failure it starts at most the one it
+        # may have taken before the drain.
+        assert next(calls) - failed_at[0] - 1 <= 1
+
+    @pytest.mark.parametrize("cores, helpers", [(1, 0), (2, 1)])
+    def test_caller_computes_blocks_beside_the_helpers(self, cores, helpers,
+                                                       monkeypatch):
+        monkeypatch.setattr(tfr, "_pool_size", lambda: cores)
+        started, threads = [], set()
+        start, dsst_rows = threading.Thread.start, tfr._dsst_rows
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        def spy(*args, **kwargs):
+            threads.add(threading.current_thread())
+            return dsst_rows(*args, **kwargs)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        monkeypatch.setattr(tfr, "_dsst_rows", spy)
+        kernel(walk_signal(), small_config(1))
+        assert len(started) == helpers
+        assert threading.main_thread() in threads
+        assert threads <= {threading.main_thread(), *started}
+
+    def test_every_block_runs_once_under_contention(self, monkeypatch):
+        # More threads than cores, switching as often as the interpreter
+        # allows: a block taken twice, or lost, shows in the counts.
+        sig, cfg = walk_signal(), small_config(1)
+        monkeypatch.setattr(tfr, "_pool_size", lambda: 1)
+        serial = kernel(sig, cfg)[0]
+        monkeypatch.setattr(tfr, "_pool_size", lambda: 4)
+        starts = collections.Counter()
+        dsst_rows = tfr._dsst_rows
+
+        def spy(frames, w, fft_half, gamma, upsilon, band, table, band_rows,
+                out):
+            starts[band_rows.ctypes.data] += 1
+            dsst_rows(frames, w, fft_half, gamma, upsilon, band, table,
+                      band_rows, out)
+
+        monkeypatch.setattr(tfr, "_dsst_rows", spy)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            band_mag = kernel(sig, cfg)[0]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(starts) == len(tfr._frame_blocks(len(sig)))
+        assert set(starts.values()) == {1}
+        assert band_mag.tobytes() == serial.tobytes()
+
     @pytest.mark.parametrize("hop", [1, 3])
     def test_collecting_dssst_keeps_band_mag(self, hop):
         sig = walk_signal()
@@ -754,9 +829,11 @@ class TestChunkedChain:
 class TestKernelMemory:
     def test_memory_beyond_band_mag_does_not_grow_with_the_bout(self):
         # Default configuration, hop 1, 100 Hz: blocks of 8 frames x 4097
-        # bins, two at a time, hold ~5.6 MB of stage arrays at the peak, and
-        # the 60 s bout peaks at 14.3 MB with its 8.6 MB band_mag. Blocks of
-        # 16 frames peaked at 19.5 MB, blocks of 256 frames at ~170 MB.
+        # bins, two at a time, hold ~4.6 MB of stage arrays at the peak
+        # beside the 60 s bout's 8.6 MB band_mag (~5.6 MB while V' was held
+        # through the cepstrum and every stage array to the block's end).
+        # Blocks of 16 frames peaked at 19.5 MB in all, blocks of 256
+        # frames at ~170 MB.
         cfg = PipelineConfig().validate()
         peaks, band_bytes = {}, {}
         for seconds in (30, 60):
@@ -770,8 +847,25 @@ class TestKernelMemory:
             finally:
                 tracemalloc.stop()
             band_bytes[seconds] = band_mag.nbytes
-        assert peaks[60] < 17.5e6
+        assert peaks[60] - band_bytes[60] < 5.0e6
         assert peaks[60] - peaks[30] < band_bytes[60] - band_bytes[30] + 2**21
+
+    def test_memory_beyond_the_outputs_with_dssst_kept(self):
+        # Hop 10 on a 37.7 s bout, as a multi-bout run exporting dssst: two
+        # blocks' full-width squeezes peak at ~4.4 MB beyond the outputs
+        # (~7.0 MB with V, the cepstrum and V'/V's own array held).
+        cfg = PipelineConfig(hop=10).validate()
+        sig = walk_signal(n=3770, fs=100.0)
+        M = cfg.fft_half(cfg.window_half(sig.fs))
+        band = band_to_bins(cfg.band_hz, sig.fs, M)
+        tracemalloc.start()
+        try:
+            band_mag, grids = kernel(sig, cfg, band, kinds=("dssst",))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grids["dssst"].shape == (377, M + 1)
+        assert peak - band_mag.nbytes - grids["dssst"].nbytes < 5.0e6
 
     def test_memory_beyond_band_mag_does_not_grow_with_the_block_count(self):
         # 250 against 2000 blocks of 8 small frames. A queued future per
