@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -39,6 +40,10 @@ class PipelineConfig:
             raise ConfigError("window_span_s must be positive")
         if self.sigma <= 0:
             raise ConfigError("sigma must be positive")
+        if not sys.float_info.min <= self.sigma * self.sigma <= sys.float_info.max:
+            # The window divides by sigma**2, which overflows or underflows.
+            raise ConfigError(f"sigma={self.sigma} squared leaves the float64 "
+                              "range")
         if self.gamma <= 0:
             raise ConfigError("gamma must be positive")
         if self.upsilon <= 0:

@@ -83,7 +83,8 @@ def ridge_dp(mag: np.ndarray, penalty: float, out: np.ndarray | None = None):
     The score block is a new array unless ``out``, a float64 array of
     ``mag``'s shape, is given; ``out`` may be ``mag`` itself, which then
     ends up overwritten with the backward sums. An all-zero block returns
-    before anything is written.
+    before anything is written; a block whose total is not finite (a NaN or
+    infinite cell, or a sum that overflows) raises ``ParameterError``.
     """
     mag = np.asarray(mag, dtype=np.float64)
     if mag.ndim != 2 or mag.size == 0:
@@ -96,6 +97,8 @@ def ridge_dp(mag: np.ndarray, penalty: float, out: np.ndarray | None = None):
                               "block's shape")
 
     total = mag.sum()
+    if not math.isfinite(total):
+        raise ParameterError(f"ridge block total is not finite ({total})")
     if total <= 0:
         return np.zeros(T, dtype=np.int64), True
 

@@ -15,14 +15,15 @@ extension of each row of ``|V|^gamma`` (a type-I DCT of the row).
 
 The de-shape synchrosqueezing chain lives here once: ``dsst`` runs
 STFT pair -> cepstral mask -> de-shaped STFT -> reassignment -> squeeze over
-blocks of frames, and the pipeline calls it. Each block runs each stage
-once, builds at most one de-shape mask and writes every kept grid in place.
-It squeezes only the output columns something reads: the pipeline's search
-band, de-shaping only the cells that land there, or every column when the
-dssst grid is kept, in one scatter of every cell. The full-grid stages
-(``stft``, ``stct``, ``istct``, ``deshape``, ``reassignment_operator``,
-``synchrosqueeze``) apply the kernel's own row helpers to a whole grid; the
-independent references are ``scipy.fft`` and the direct-sum STFT oracle.
+blocks of frames, and the pipeline calls it. A call that keeps no grid
+takes the band routine: one workspace per worker thread and call, and
+``V'/V`` only at the cells that can reach the search band
+(``_candidate_bounds``). A call that keeps any grid takes the full-width
+routine, which allocates each block's stage arrays and squeezes every
+column. The full-grid stages (``stft``, ``stct``, ``istct``, ``deshape``,
+``reassignment_operator``, ``synchrosqueeze``) apply the kernel's own row
+helpers to a whole grid; the independent references are ``scipy.fft`` and
+the direct-sum STFT oracle.
 """
 
 from __future__ import annotations
@@ -47,14 +48,14 @@ KIND_DSSST = "dssst"
 GRID_KINDS = (KIND_STFT, KIND_STCT, KIND_ISTCT, KIND_DSSTFT, KIND_SST, KIND_DSSST)
 
 # Most frames per block. On one worker at M = 4096, the kernel's memory
-# beyond its outputs peaks at 2.4 MB under tracemalloc, 2.3 MB with the
-# full-width squeeze (5.6 and 7.0 MB with 16-frame blocks and every stage
-# array held to the block's end).
+# beyond its outputs peaks at 1.9 MB under tracemalloc with the band
+# routine's workspace, 2.3 MB with the full-width routine (5.6 and 7.0 MB
+# with 16-frame blocks and every stage array held to the block's end).
 _CHUNK_FRAMES = 8
 # Most worker threads, the calling one included, hence most blocks computed
-# at once. Each block holds its own stage arrays, so the kernel's memory
-# beyond its outputs grows linearly with this cap: 4.6 MB for two blocks at
-# M = 4096, 4.4 MB with the full-width squeeze.
+# at once. Each worker holds its own workspace or stage arrays, so the
+# kernel's memory beyond its outputs grows linearly with this cap: 3.5 MB
+# for two workers at M = 4096, 4.4 MB with the full-width routine.
 _MAX_IN_FLIGHT = 2
 
 
@@ -131,10 +132,12 @@ def _check_dft_length(w: Window, fft_half: int) -> None:
                              f"window span {w.span}")
 
 
-def _stft_rows(frames: np.ndarray, taper: np.ndarray,
-               fft_half: int) -> np.ndarray:
-    """The ``fft_half + 1`` rfft columns of each tapered frame."""
-    return np.fft.rfft(frames * taper, n=2 * fft_half, axis=1)
+def _stft_rows(frames: np.ndarray, taper: np.ndarray, fft_half: int,
+               tapered=None, out=None) -> np.ndarray:
+    """The ``fft_half + 1`` rfft columns of each tapered frame, the tapered
+    frames and the columns written into ``tapered`` and ``out`` when given."""
+    return np.fft.rfft(np.multiply(frames, taper, out=tapered),
+                       n=2 * fft_half, axis=1, out=out)
 
 
 def stft(s: Signal, w: Window, fft_half: int, hop: int = 1,
@@ -155,21 +158,29 @@ def stft(s: Signal, w: Window, fft_half: int, hop: int = 1,
                    fft_half=fft_half, hop=hop, kind=KIND_STFT, t0=s.t0)
 
 
-def _stct_rows(stft_mag: np.ndarray, gamma: float, out=None) -> np.ndarray:
+def _stct_rows(stft_mag: np.ndarray, gamma: float, out=None, extended=None,
+               spectrum=None) -> np.ndarray:
     """Cepstral rows of one block of STFT magnitudes (already nonnegative).
 
     Each row ``|V|^gamma`` holds bins ``0..M`` of a real, even ``2M``-point
     spectrum; its DFT is the rfft of the row's even extension (bins
     ``M - 1 .. 1`` mirrored after bin ``M``), whose real part is the
-    cepstrum, clamped at zero and written into ``out`` when given.
+    cepstrum, clamped at zero and written into ``out`` when given. The
+    extension and its DFT go into the contiguous ``(n_rows, 2M)`` float
+    array ``extended`` and the ``(n_rows, M + 1)`` complex array
+    ``spectrum`` when given. ``out`` may be ``stft_mag``, which is no
+    longer read then.
     """
     n_rows, width = stft_mag.shape
     M = width - 1
     out = np.empty((n_rows, width)) if out is None else out
-    extended = np.empty((n_rows, 2 * M))
+    if extended is None:
+        extended = np.empty((n_rows, 2 * M))
     np.power(stft_mag, gamma, out=extended[:, :width])
-    extended[:, width:] = extended[:, M - 1 : 0 : -1]
-    np.maximum(np.fft.rfft(extended, axis=1).real, 0.0, out=out)
+    for row in extended:  # per row, so numpy sees no overlap and copies nothing
+        row[width:] = row[M - 1 : 0 : -1]
+    spectrum = np.fft.rfft(extended, axis=1, out=spectrum)
+    np.maximum(spectrum.real, 0.0, out=out)
     return out
 
 
@@ -270,6 +281,11 @@ def deshape(v: TFRGrid, u: TFRGrid) -> TFRGrid:
                    hop=v.hop, kind=KIND_DSSTFT, t0=v.t0)
 
 
+def _omega_scale(fft_half: int, window_half: int) -> float:
+    """Bins per unit of ``Im(V'/V)``: ``2M / (2 pi (2K + 1))``."""
+    return 2.0 * fft_half / (2.0 * np.pi * (2 * window_half + 1))
+
+
 def _omega_rows(v_rows: np.ndarray, vd_rows: np.ndarray, vmag: np.ndarray,
                 upsilon: float, window_half: int, fft_half: int) -> np.ndarray:
     """Reassignment rule of one block; ``vmag`` is ``|v_rows|``.
@@ -279,9 +295,8 @@ def _omega_rows(v_rows: np.ndarray, vd_rows: np.ndarray, vmag: np.ndarray,
     """
     mask = vmag > upsilon
     ratio = np.divide(vd_rows, v_rows, out=vd_rows, where=mask)
-    scale = 2.0 * fft_half / (2.0 * np.pi * (2 * window_half + 1))
     cols = np.arange(v_rows.shape[1], dtype=np.float64)
-    omega = cols[None, :] - ratio.imag * scale
+    omega = cols[None, :] - ratio.imag * _omega_scale(fft_half, window_half)
     omega[~mask] = -np.inf
     return omega
 
@@ -306,56 +321,47 @@ def reassignment_operator(v: TFRGrid, vd: TFRGrid, upsilon: float,
     return OmegaMatrix(omega)
 
 
-def _squeeze_rows(src_rows: np.ndarray, omega_rows: np.ndarray, lo: int,
-                  hi: int, ceps=None, table=None) -> np.ndarray:
-    """Columns ``lo..hi`` of the squeezed rows, shape ``(n_rows, hi - lo + 1)``.
+def _scatter(flat: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """``size`` bins, bin ``j`` the sum of the ``weights`` whose ``flat``
+    index is ``j``, added in cell order; index ``size`` is a dump bin.
 
-    Every column (``0..M``) of ``src`` as it is: each cell is scattered, and
-    ``-inf`` or out-of-range targets go to one dump bin past the end. A band,
-    or ``src`` times the istct mask of ``ceps`` (by ``table``, the
-    ``_istct_interp_table``): only the cells whose rounded
-    target lands in ``lo..hi`` are picked, so a narrow band reads a small
-    share of the grid, and the mask is evaluated at those cells only.
-    Either way ``np.bincount`` sums each bin's cells in row-major order, so
-    each target bin sums the same cells in the same order as a squeeze of
-    the whole grid and its columns are bitwise equal.
+    ``np.bincount`` does the sums. For complex weights it makes one pass
+    over the interleaved parts: bin ``2j`` sums the real parts of bin ``j``'s
+    cells and bin ``2j + 1`` their imaginary parts.
+    """
+    if not np.iscomplexobj(weights):
+        return np.bincount(flat, weights=weights, minlength=size + 1)[:size]
+    pairs = np.empty((flat.size, 2), dtype=np.int64)
+    np.multiply(flat, 2, out=pairs[:, 0])
+    del flat  # the caller may hold no other reference
+    np.add(pairs[:, 0], 1, out=pairs[:, 1])
+    return np.bincount(pairs.ravel(), weights=weights.view(np.float64),
+                       minlength=2 * size + 2).view(np.complex128)[:size]
+
+
+def _flat_targets(omega_rows: np.ndarray) -> np.ndarray:
+    """Each cell's rounded target as a row-major flat index into its rows;
+    ``-inf``, NaN and off-grid targets go to the dump bin past the end."""
+    n_rows, n_cols = omega_rows.shape
+    size = n_rows * n_cols
+    targets = np.rint(omega_rows)
+    keep = (targets >= 0) & (targets < n_cols)  # false at -inf and nan
+    targets += np.arange(0, size, n_cols, dtype=np.float64)[:, None]
+    targets[~keep] = size
+    del keep
+    return targets.astype(np.int64).ravel()
+
+
+def _squeeze_rows(src_rows: np.ndarray, omega_rows: np.ndarray) -> np.ndarray:
+    """Every column of the squeezed rows: each cell of ``src`` is added, as
+    it is, to its rounded target column.
+
     This is a block's memory peak, and two blocks reach it at about the same
     time, so the cell-sized temporaries are updated in place and dropped
     once used.
     """
-    n_rows, n_cols = omega_rows.shape
-    width = hi - lo + 1
-    size = n_rows * width
-    targets = np.rint(omega_rows)
-    if width == n_cols and ceps is None:
-        weights = src_rows
-        keep = (targets >= 0) & (targets <= hi)  # false at -inf and nan
-        targets += np.arange(0, size, width, dtype=np.float64)[:, None]
-        targets[~keep] = size
-        del keep
-        flat = targets.astype(np.int64).ravel()
-        weights = weights.ravel()
-    else:
-        targets = targets.ravel()
-        cells = np.flatnonzero((targets >= lo) & (targets <= hi))
-        flat = (cells // n_cols) * width + (targets[cells].astype(np.int64) - lo)
-        weights = src_rows.ravel()[cells]
-        if ceps is not None:
-            weights *= _istct_cells(ceps, table, cells)
-        del cells
-    del targets
-    if np.iscomplexobj(weights):
-        # One pass over the interleaved parts: bin 2j sums the real parts of
-        # bin j's cells and bin 2j + 1 their imaginary parts, in cell order.
-        pairs = np.empty((flat.size, 2), dtype=np.int64)
-        np.multiply(flat, 2, out=pairs[:, 0])
-        del flat
-        np.add(pairs[:, 0], 1, out=pairs[:, 1])
-        out = np.bincount(pairs.ravel(), weights=weights.view(np.float64),
-                          minlength=2 * size + 2).view(np.complex128)
-    else:
-        out = np.bincount(flat, weights=weights, minlength=size + 1)
-    return out[:size].reshape(n_rows, width)
+    return _scatter(_flat_targets(omega_rows), src_rows.ravel(),
+                    omega_rows.size).reshape(omega_rows.shape)
 
 
 def synchrosqueeze(src: TFRGrid, omega: OmegaMatrix) -> TFRGrid:
@@ -369,7 +375,7 @@ def synchrosqueeze(src: TFRGrid, omega: OmegaMatrix) -> TFRGrid:
         raise StructuralError(
             f"shape mismatch: src {src.values.shape} vs omega {omega.values.shape}"
         )
-    out = _squeeze_rows(src.values, omega.values, 0, src.fft_half)
+    out = _squeeze_rows(src.values, omega.values)
     kind = KIND_DSSST if src.kind == KIND_DSSTFT else KIND_SST
     return TFRGrid(out, fs=src.fs, fft_half=src.fft_half, hop=src.hop,
                    kind=kind, t0=src.t0)
@@ -378,13 +384,14 @@ def synchrosqueeze(src: TFRGrid, omega: OmegaMatrix) -> TFRGrid:
 def _dsst_rows(frames: np.ndarray, w: Window, fft_half: int, gamma: float,
                upsilon: float, band, table, band_rows: np.ndarray,
                out: dict) -> None:
-    """Fill one block's rows of ``band_mag`` (``band_rows``) and of each kept
-    grid (``out``: kind -> rows) from its analysis ``frames``; ``table`` is
-    the call's ``_istct_interp_table``.
+    """The full-width routine: fill one block's rows of ``band_mag``
+    (``band_rows``) and of each kept grid (``out``: kind -> rows) from its
+    analysis ``frames``; ``table`` is the call's ``_istct_interp_table``.
 
     Each stage runs once, on one core: the kernel computes blocks side by
     side instead. ``V'`` is computed after the cepstrum has freed its
-    buffers, and each stage array is dropped after its last reader.
+    buffers, and each stage array is dropped after its last reader. The
+    band is sliced out of the block's full dssst squeeze.
     """
     v = _stft_rows(frames, w.h, fft_half)
     vmag = np.abs(v, out=out.get(KIND_STFT))
@@ -393,19 +400,115 @@ def _dsst_rows(frames: np.ndarray, w: Window, fft_half: int, gamma: float,
     omega = _omega_rows(v, vd, vmag, upsilon, w.K, fft_half)
     del vd, vmag
     if KIND_SST in out:
-        np.abs(_squeeze_rows(v, omega, 0, fft_half), out=out[KIND_SST])
-    if out.keys() & {KIND_ISTCT, KIND_DSSTFT, KIND_DSSST}:
-        ds = v * _istct_rows(ceps, table, out=out.get(KIND_ISTCT))
-        if KIND_DSSTFT in out:
-            np.abs(ds, out=out[KIND_DSSTFT])
-    if KIND_DSSST in out:
-        del v, ceps
-        dssst = np.abs(_squeeze_rows(ds, omega, 0, fft_half),
-                       out=out[KIND_DSSST])
-        band_rows[:] = dssst[:, band[0] : band[1] + 1]
-    else:
-        np.abs(_squeeze_rows(v, omega, *band, ceps=ceps, table=table),
-               out=band_rows)
+        np.abs(_squeeze_rows(v, omega), out=out[KIND_SST])
+    ds = v * _istct_rows(ceps, table, out=out.get(KIND_ISTCT))
+    del v, ceps
+    if KIND_DSSTFT in out:
+        np.abs(ds, out=out[KIND_DSSTFT])
+    dssst = np.abs(_squeeze_rows(ds, omega), out=out.get(KIND_DSSST))
+    band_rows[:] = dssst[:, band[0] : band[1] + 1]
+
+
+# Relative margin of the candidate bound (``_candidate_bounds``). It covers
+# the rounding of V'/V, of its imaginary part times the scale, of the
+# target, of |V| and |V'| (hypot) and of |V| times the bound: a few ulps,
+# far below 1e-6.
+_BOUND_MARGIN = 1e-6
+
+
+def _candidate_bounds(band, n_cols: int, scale: float) -> np.ndarray:
+    """Per column ``c``, the least ``|V'| / |V|`` of a cell whose rounded
+    target ``rint(c - Im(V'/V) * scale)`` can land in ``band = (lo, hi)``.
+
+    The target lands there only if ``|Im(V'/V)| * scale >= d(c) - 0.5``,
+    where ``d(c)`` is the column's distance in bins from ``[lo, hi]``, and
+    ``|Im(V'/V)| <= |V'| / |V|``. So the bound is ``max(d(c) - 0.5, 0) /
+    scale``, lowered by ``_BOUND_MARGIN`` to absorb rounding.
+    """
+    lo, hi = band
+    cols = np.arange(n_cols, dtype=np.float64)
+    d = np.maximum(np.maximum(lo - cols, cols - hi), 0.0)
+    return np.maximum(d - 0.5, 0.0) / scale * (1.0 - _BOUND_MARGIN)
+
+
+class _BandWorkspace:
+    """One worker's buffers for the band routine, allocated once per
+    ``dsst`` call and sized for ``rows`` frames: the tapered frames, ``V``,
+    ``V'``, ``|V|``, the candidate mask, and ``|V'|`` and ``|V| * thr`` of
+    one row.
+
+    Once ``V`` and ``V'`` are gathered at the candidate cells, ``V'``'s
+    buffer holds the contiguous even extension of ``|V|^gamma``, ``V``'s
+    buffer its spectrum, and ``|V|``'s buffer the cepstrum.
+    """
+
+    def __init__(self, rows: int, span: int, fft_half: int):
+        width = fft_half + 1
+        self.tapered = np.empty((rows, span))
+        self.v = np.empty((rows, width), dtype=np.complex128)
+        self.vd = np.empty((rows, width), dtype=np.complex128)
+        self.vmag = np.empty((rows, width))
+        self.cand = np.empty((rows, width), dtype=bool)
+        self.row_mags = np.empty((2, width))
+
+    def vd_floats(self, n: int, cols: int) -> np.ndarray:
+        """``(n, cols)`` contiguous floats over the start of ``V'``'s buffer."""
+        return self.vd.view(np.float64).reshape(-1)[: n * cols].reshape(n, cols)
+
+
+def _band_squeeze(v: np.ndarray, vd: np.ndarray, gamma: float,
+                  upsilon: float, band, scale: float, table, thr: np.ndarray,
+                  ws: _BandWorkspace) -> np.ndarray:
+    """The band columns of one block's de-shaped squeeze, from its STFT
+    pair: ``v`` and ``vd`` are the first rows of ``ws.v`` and ``ws.vd``,
+    and both are overwritten.
+
+    ``V'/V``, the target and the band test are computed only at the
+    candidate cells, ``|V'| >= |V| * thr[c]`` (``_candidate_bounds``) and
+    ``|V| > upsilon``, in row-major order. Every cell whose target lands in
+    the band is a candidate, so each band column sums the same cells in the
+    same order as a squeeze of the whole grid, and the mask is evaluated at
+    the selected cells only.
+    """
+    n, n_cols = v.shape
+    lo, hi = band
+    width = hi - lo + 1
+    vd_mag, bound = ws.row_mags
+    vmag = np.abs(v, out=ws.vmag[:n])
+    cand = ws.cand[:n]
+    for row in range(n):  # a row at a time: no block-sized |V'|
+        np.abs(vd[row], out=vd_mag)
+        np.multiply(vmag[row], thr, out=bound)
+        np.greater_equal(vd_mag, bound, out=cand[row])
+    cand &= vmag > upsilon
+    cells = np.flatnonzero(cand)
+    weights = v.ravel()[cells]
+    quotient = vd.ravel()[cells]
+    quotient /= weights
+    targets = np.rint(cells % n_cols - quotient.imag * scale)
+    del quotient
+    inside = (targets >= lo) & (targets <= hi)
+    cells, weights = cells[inside], weights[inside]
+    flat = cells // n_cols * width + (targets[inside].astype(np.int64) - lo)
+    del targets
+    # V and V' are gathered, so their buffers take the cepstrum's stages.
+    ceps = _stct_rows(vmag, gamma, out=vmag,
+                      extended=ws.vd_floats(n, 2 * (n_cols - 1)), spectrum=v)
+    weights *= _istct_cells(ceps, table, cells)
+    return _scatter(flat, weights, n * width).reshape(n, width)
+
+
+def _band_rows(frames: np.ndarray, w: Window, fft_half: int, gamma: float,
+               upsilon: float, band, scale: float, table, thr: np.ndarray,
+               band_rows: np.ndarray, ws: _BandWorkspace) -> None:
+    """The band routine: fill one block's rows of ``band_mag``
+    (``band_rows``) from its analysis ``frames``, every stage in the
+    worker's workspace ``ws``."""
+    n = frames.shape[0]
+    v = _stft_rows(frames, w.h, fft_half, ws.tapered[:n], ws.v[:n])
+    vd = _stft_rows(frames, w.dh, fft_half, ws.tapered[:n], ws.vd[:n])
+    np.abs(_band_squeeze(v, vd, gamma, upsilon, band, scale, table, thr, ws),
+           out=band_rows)
 
 
 def _pool_size() -> int:
@@ -446,10 +549,20 @@ def dsst(s: Signal, w: Window, fft_half: int, hop: int, gamma: float,
     than two full blocks still gives each worker half of it.
     Per block, each stage runs once: STFT ``V`` -> cepstrum of
     ``|V|^gamma`` -> STFT ``V'`` -> reassignment rule from ``V'/V`` ->
-    ``W = V * mask`` squeezed into the band, de-shaping only the cells that
-    land there, or into every column when the dssst grid is kept. A block
-    builds at most one mask, writes each kept grid's rows in place and drops
-    each stage array after its last reader.
+    ``W = V * mask`` squeezed, by one of two routines that give the same
+    bits. With no grid kept, the band routine (``_band_rows``) runs each
+    block in its worker's ``_BandWorkspace``, allocated once per call: the
+    tapered frames, ``V``, ``V'``, ``|V|``, the candidate mask and two
+    rows of magnitudes, about 1.5 MB per worker at ``M = 4096``. It divides
+    ``V'/V`` only at the cells with ``|V'| >= |V| * thr[c]`` and ``|V| >
+    upsilon``, where ``thr[c] = max(d(c) - 0.5, 0) / scale`` for a column
+    ``d(c)`` bins from the band, lowered by a relative margin of 1e-6 for
+    rounding (``_candidate_bounds``): no other cell's target can round into
+    the band. With a grid kept, the full-width
+    routine (``_dsst_rows``) allocates each block's stage arrays, builds at
+    most one mask, writes each kept grid's rows in place, drops each stage
+    array after its last reader, and slices the band out of its full
+    squeeze.
 
     Blocks run on ``_pool_size()`` threads, one core each: the calling
     thread and ``_pool_size() - 1`` helpers, so one usable core starts no
@@ -468,21 +581,31 @@ def dsst(s: Signal, w: Window, fft_half: int, hop: int, gamma: float,
     band_mag = np.empty((n, band[1] - band[0] + 1))
     grids = {kind: np.empty((n, fft_half + 1)) for kind in GRID_KINDS
              if kind in kinds}
-    table = _istct_interp_table(fft_half)  # one for every block
+    # One of each for every block.
+    table = _istct_interp_table(fft_half)
+    scale = _omega_scale(fft_half, w.K)
+    thr = _candidate_bounds(band, fft_half + 1, scale)
 
-    blocks = iter(_frame_blocks(n))
+    layout = _frame_blocks(n)
+    rows_max = max((rows.stop - rows.start for rows in layout), default=0)
+    blocks = iter(layout)
     take = threading.Lock()
 
     def worker():
+        ws = None if grids else _BandWorkspace(rows_max, w.span, fft_half)
         while True:
             with take:
                 rows = next(blocks, None)
             if rows is None:
                 return
             try:
-                _dsst_rows(frames[rows], w, fft_half, gamma, upsilon, band,
-                           table, band_mag[rows],
-                           {kind: grid[rows] for kind, grid in grids.items()})
+                if ws is None:
+                    _dsst_rows(frames[rows], w, fft_half, gamma, upsilon,
+                               band, table, band_mag[rows],
+                               {kind: grid[rows] for kind, grid in grids.items()})
+                else:
+                    _band_rows(frames[rows], w, fft_half, gamma, upsilon,
+                               band, scale, table, thr, band_mag[rows], ws)
             except BaseException:
                 with take:
                     for _ in blocks:  # no thread starts another block

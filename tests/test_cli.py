@@ -242,6 +242,33 @@ class TestRun:
         assert code == 1
         assert not (out / "cadence.csv").exists()
 
+    @pytest.mark.parametrize("sigma", ["2e154", "1e-200"])
+    def test_sigma_whose_square_leaves_float64_is_config_error(
+            self, synth_files, tmp_path, capsys, sigma):
+        _, csv_path, labels_path, _ = synth_files
+        out = tmp_path / "out"
+        code = main(["run", str(csv_path), str(labels_path), "-o", str(out),
+                     "--sigma", sigma] + FAST_FLAGS)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "sigma" in err and "Traceback" not in err
+        assert not (out / "cadence.csv").exists()
+
+    def test_overflowing_gamma_fails_the_bout(self, synth_files, tmp_path,
+                                              capsys):
+        # |V|**gamma overflows, so the band energy is NaN.
+        _, csv_path, labels_path, _ = synth_files
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["run", str(csv_path), str(labels_path), "-o", str(out),
+                         "--gamma", "1e300"] + FAST_FLAGS)
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        [bout] = json.loads((out / "report.json").read_text())["bouts"]
+        assert bout["status"] == "error"
+        assert bout["message"] == "ridge block total is not finite (nan)"
+
     def test_band_above_nyquist_is_config_error(self, synth_files, tmp_path):
         # The recording is sampled at 50 Hz: Nyquist is 25 Hz.
         _, csv_path, labels_path, _ = synth_files

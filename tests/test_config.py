@@ -100,6 +100,14 @@ class TestValidation:
         with pytest.raises(ConfigError):
             PipelineConfig(**{field: value}).validate()
 
+    @pytest.mark.parametrize("sigma, inside", [(2e154, 1e154), (1e-200, 1e-150)])
+    def test_rejects_sigma_whose_square_leaves_float64(self, sigma, inside):
+        # The window divides by sigma**2: it overflows above about 1.3e154
+        # and leaves the normal range below about 1.5e-154.
+        with pytest.raises(ConfigError, match="sigma"):
+            PipelineConfig(sigma=sigma).validate()
+        PipelineConfig(sigma=inside).validate()
+
     def test_rejects_inverted_band(self):
         with pytest.raises(ConfigError):
             PipelineConfig(band_lo_hz=3.0, band_hi_hz=1.0).validate()

@@ -172,6 +172,15 @@ class TestRidgeDP:
         assert degenerate
         assert np.all(bins == 0)
 
+    @pytest.mark.parametrize("cell", [math.nan, math.inf, 1e308])
+    def test_block_whose_total_is_not_finite_rejected(self, cell):
+        # 1e308 twice overflows the sum, though every cell is finite.
+        mag = np.ones((3, 4))
+        mag[1, 2] = mag[2, 1] = cell
+        with np.errstate(over="ignore"), pytest.raises(ParameterError,
+                                                       match="not finite"):
+            ridge_dp(mag, penalty=1.0)
+
     def test_negative_penalty_rejected(self):
         for penalty in (-1.0, math.nan, math.inf):
             with pytest.raises(ParameterError):

@@ -2,9 +2,12 @@
 
 import collections
 import itertools
+import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +192,13 @@ class TestScipyReference:
         ref = np.maximum(scipy.fft.dct(mag**gamma, type=1, axis=1), 0.0)
         grid = TFRGrid(mag, fs=10.0, fft_half=width - 1)
         self.assert_bitwise_equal(stct(grid, gamma).values, ref)
+        # The band routine's form: given buffers, the result in place of |V|.
+        extended = np.empty((n_rows, 2 * (width - 1)))
+        spectrum = np.empty((n_rows, width), dtype=np.complex128)
+        out = tfr._stct_rows(mag, gamma, out=mag, extended=extended,
+                             spectrum=spectrum)
+        assert out is mag
+        self.assert_bitwise_equal(out, ref)
 
     @pytest.mark.parametrize("K, M", [(4, 5), (8, 32), (30, 128), (50, 1009),
                                       (200, 1024)])
@@ -198,9 +208,13 @@ class TestScipyReference:
         rng = np.random.default_rng(M + n_rows)
         frames = rng.standard_normal((n_rows, 2 * K + 1))
         w = gaussian_window(K, 0.15)
+        tapered = np.empty(frames.shape)
+        out = np.empty((n_rows, M + 1), dtype=np.complex128)
         for taper in (w.h, w.dh):
             ref = scipy.fft.rfft(frames * taper, n=2 * M, axis=1)
             self.assert_bitwise_equal(tfr._stft_rows(frames, taper, M), ref)
+            self.assert_bitwise_equal(
+                tfr._stft_rows(frames, taper, M, tapered, out), ref)
 
 
 class TestIstct:
@@ -419,6 +433,9 @@ class TestSynchrosqueeze:
             synchrosqueeze(src, om)
 
 
+UPSILON = 1e-9
+
+
 def squeeze_block(seed, M=16, n_rows=6):
     """A complex block and its targets: ``-inf`` cells, the rounding edges
     -0.5 and M + 0.5 (both land in the grid), and targets off either end."""
@@ -432,40 +449,77 @@ def squeeze_block(seed, M=16, n_rows=6):
     return v, omega
 
 
-class TestSqueezeForms:
-    """The full-range scatter and the band gather are bitwise one squeeze."""
+def pair_block(seed, quiet, M=16, K=4, n_rows=6):
+    """A random STFT pair ``(V, V')`` whose targets ``c - Im(V'/V) * scale``
+    cover the grid, its rounding edges and beyond either end. With
+    ``quiet``, a fifth of the cells have ``|V|`` at ``UPSILON`` (rule
+    ``-inf``) and a few just above it."""
+    rng = np.random.default_rng(seed)
+    shape = (n_rows, M + 1)
+    v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    omega = rng.uniform(-3, M + 3, size=shape)
+    omega[0, :6] = [-0.5, M + 0.5, -0.51, M + 0.51, -1e9, 1e9]
+    cols = np.arange(M + 1.0)
+    quotient = rng.normal(size=shape) + 1j * (cols - omega) / tfr._omega_scale(M, K)
+    if quiet:
+        v[rng.uniform(size=shape) < 0.2] = UPSILON
+        v[-1, ::3] = UPSILON * (1 + 1e-15)
+    return v, v * quotient
 
-    def tiled(self, src, omega, ceps=None):
-        M = omega.shape[1] - 1
-        table = tfr._istct_interp_table(M)
-        return np.hstack([
-            tfr._squeeze_rows(src, omega, 0, M - 1, ceps=ceps, table=table),
-            tfr._squeeze_rows(src, omega, M, M, ceps=ceps, table=table)])
+
+def full_squeeze(v, vd, K, gamma=0.3):
+    """The full-width squeeze of ``W = V * mask`` by the rule of ``V'/V``."""
+    M = v.shape[1] - 1
+    vmag = np.abs(v)
+    omega = tfr._omega_rows(v, vd.copy(), vmag, UPSILON, K, M)
+    mask = tfr._istct_rows(tfr._stct_rows(vmag, gamma), tfr._istct_interp_table(M))
+    return tfr._squeeze_rows(v * mask, omega)
+
+
+def band_squeeze(v, vd, band, K, gamma=0.3):
+    """The band routine's columns ``band`` of the squeeze of ``(V, V')``."""
+    n_rows, width = v.shape
+    M = width - 1
+    ws = tfr._BandWorkspace(n_rows, 2 * K + 1, M)
+    ws.v[:], ws.vd[:] = v, vd
+    scale = tfr._omega_scale(M, K)
+    return tfr._band_squeeze(ws.v, ws.vd, gamma, UPSILON, band, scale,
+                             tfr._istct_interp_table(M),
+                             tfr._candidate_bounds(band, width, scale), ws)
+
+
+class TestSqueezeForms:
+    """The full-width scatter and the band routine are bitwise one squeeze."""
+
+    @staticmethod
+    def tiled(v, vd, K=4):
+        M = v.shape[1] - 1
+        return np.hstack([band_squeeze(v, vd, band, K)
+                          for band in [(0, 5), (6, M - 1), (M, M)]])
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_bands_tile_the_full_range(self, seed, masked):
-        # The full range squeezes W = V * mask; a band de-shapes its cells.
-        v, omega = squeeze_block(seed)
+    @pytest.mark.parametrize("quiet", [False, True])
+    def test_bands_tile_the_full_range(self, seed, quiet):
+        # Narrow bands: most of each band's cells come from other columns.
+        v, vd = pair_block(seed, quiet)
         M = v.shape[1] - 1
-        ceps = tfr._stct_rows(np.abs(v), 0.3) if masked else None
-        table = tfr._istct_interp_table(M)
-        src = v * tfr._istct_rows(ceps, table) if masked else v
-        full = tfr._squeeze_rows(src, omega, 0, M)
+        full = full_squeeze(v, vd, K=4)
         assert full.shape == v.shape
-        assert full.tobytes() == self.tiled(v, omega, ceps).tobytes()
-        gathered = tfr._squeeze_rows(v, omega, 0, M, ceps=ceps, table=table)
-        assert full.tobytes() == gathered.tobytes()
-        assert np.any(full != 0)
-        if not masked:  # the mask is zero at bins 0 and 1
-            assert full[0, 0] != 0 and full[0, M] != 0  # from -0.5 and M + 0.5
+        assert full.tobytes() == self.tiled(v, vd).tobytes()
+        assert np.count_nonzero(full[:, 2:]) > M  # the mask is zero at bins 0, 1
 
     def test_real_source(self):
+        # Against a loop that adds each cell to its rounded target, in order.
         v, omega = squeeze_block(9)
         src = np.abs(v)
-        full = tfr._squeeze_rows(src, omega, 0, v.shape[1] - 1)
+        want = np.zeros(src.shape)
+        for row, col in np.ndindex(src.shape):
+            target = np.rint(omega[row, col])
+            if 0 <= target < src.shape[1]:
+                want[row, int(target)] += src[row, col]
+        full = tfr._squeeze_rows(src, omega)
         assert full.dtype == np.float64
-        assert full.tobytes() == self.tiled(src, omega).tobytes()
+        assert full.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("targets", ["none", "every cell"])
     def test_all_zero_block_squeezes_to_positive_zeros(self, targets):
@@ -475,9 +529,77 @@ class TestSqueezeForms:
             omega[:] = np.arange(17.0)[::-1]
         ceps = tfr._stct_rows(np.abs(v), 0.3)
         mask = tfr._istct_rows(ceps, tfr._istct_interp_table(16))
-        full = tfr._squeeze_rows(v * mask, omega, 0, 16)
-        assert full.tobytes() == np.zeros(v.shape, np.complex128).tobytes()
-        assert full.tobytes() == self.tiled(v, omega, ceps).tobytes()
+        full = tfr._squeeze_rows(v * mask, omega)
+        zeros = np.zeros(v.shape, np.complex128).tobytes()
+        assert full.tobytes() == zeros
+        assert self.tiled(v, np.zeros_like(v)).tobytes() == zeros
+
+
+class TestCandidateBound:
+    """Every cell whose rounded target lands in the band is a candidate."""
+
+    @staticmethod
+    def landing_cells(v, vd, cols, band, scale):
+        """Cells whose target, rounded as the kernel rounds it, is in band."""
+        targets = np.rint(cols - (vd / v).imag * scale)
+        return (targets >= band[0]) & (targets <= band[1])
+
+    @staticmethod
+    def naive_bounds(band, n_cols, scale, half=0.5, margin=tfr._BOUND_MARGIN):
+        cols = np.arange(n_cols, dtype=np.float64)
+        d = np.maximum(np.maximum(band[0] - cols, cols - band[1]), 0.0)
+        return np.maximum(d - half, 0.0) / scale * (1.0 - margin)
+
+    @settings(derandomize=True, deadline=None, max_examples=1000)
+    @given(data=st.data(),
+           KM=st.sampled_from([(4, 16), (40, 256), (200, 1024), (600, 4096)]),
+           at_edge=st.booleans(),
+           nudge=st.integers(-4, 4),
+           log_mag=st.sampled_from([None, 0.0, 3.0, -5.0]),
+           real=st.just(0.0) | st.floats(-1e3, 1e3),
+           phase=st.just(0.0) | st.floats(0.0, 2 * np.pi))
+    def test_every_landing_cell_is_a_candidate(self, data, KM, at_edge, nudge,
+                                               log_mag, real, phase):
+        K, M = KM
+        n_cols = M + 1
+        scale = tfr._omega_scale(M, K)
+        lo = data.draw(st.integers(0, M))
+        hi = data.draw(st.integers(lo, M))
+        col = data.draw(st.integers(0, M))
+        # Im(V'/V) puts the unrounded target at the band's rounding edge on
+        # the column's side, a few ulps either side of it, or anywhere.
+        if at_edge:
+            imag = (col - ((lo - 0.5) if col < lo else (hi + 0.5))) / scale
+            for _ in range(abs(nudge)):
+                imag = np.nextafter(imag, np.inf if nudge > 0 else -np.inf)
+        else:
+            imag = (col - data.draw(st.floats(-2.0 * M, 3.0 * M))) / scale
+        # |V| just above upsilon, or a drawn magnitude.
+        mag = UPSILON * (1 + 1e-12) if log_mag is None else 10.0 ** log_mag
+        v = np.array([mag * np.exp(1j * phase)])
+        vd = v * (real + 1j * imag)
+        thr = tfr._candidate_bounds((lo, hi), n_cols, scale)
+        if self.landing_cells(v, vd, col, (lo, hi), scale)[0]:
+            assert np.abs(vd)[0] >= np.abs(v)[0] * thr[col]
+
+    @pytest.mark.parametrize("variant", ["no margin", "no half bin"])
+    def test_a_weaker_bound_misses_landing_cells(self, variant):
+        # V = 1 and V' = i * x make V'/V and |V'| / |V| exact, so only the
+        # product with the scale and the rounding of the target are inexact.
+        K, M, band = 600, 4096, (20, 60)
+        scale = tfr._omega_scale(M, K)
+        cols = np.arange(M + 1)
+        half, margin = (0.5, 0.0) if variant == "no margin" else (0.0, tfr._BOUND_MARGIN)
+        weak = self.naive_bounds(band, M + 1, scale, half=half, margin=margin)
+        sound = tfr._candidate_bounds(band, M + 1, scale)
+        missed = []
+        for col in range(band[1] + 1, band[1] + 200):
+            x = np.nextafter(weak[col], 0.0)
+            v, vd = np.array([1.0 + 0j]), np.array([1j * x])
+            if self.landing_cells(v, vd, cols[col], band, scale)[0]:
+                assert np.abs(vd)[0] >= np.abs(v)[0] * sound[col]
+                missed.append(col)
+        assert missed
 
 
 class TestHarmonicSuppressionInvariant:
@@ -550,15 +672,15 @@ def kernel_dssst(sig, cfg, band):
 def block_sizes(sig, cfg, monkeypatch):
     """Sorted frame counts of the blocks the kernel computes over ``sig``."""
     sizes = []
-    dsst_rows = tfr._dsst_rows
+    band_rows = tfr._band_rows
 
-    def spy(v, *args, **kwargs):
-        sizes.append(v.shape[0])
-        return dsst_rows(v, *args, **kwargs)
+    def spy(frames, *args, **kwargs):
+        sizes.append(frames.shape[0])
+        return band_rows(frames, *args, **kwargs)
 
-    monkeypatch.setattr(tfr, "_dsst_rows", spy)
+    monkeypatch.setattr(tfr, "_band_rows", spy)
     kernel(sig, cfg)
-    monkeypatch.setattr(tfr, "_dsst_rows", dsst_rows)
+    monkeypatch.setattr(tfr, "_band_rows", band_rows)
     return sorted(sizes)
 
 
@@ -664,6 +786,40 @@ class TestChunkedChain:
         assert got.tobytes() == np.ascontiguousarray(full[:, lo : hi + 1]).tobytes()
         assert np.any(got > 0)
 
+    def test_band_keeps_cells_from_columns_far_outside_it(self):
+        # The band routine divides V'/V only at candidate cells. A cell more
+        # than 20 bins outside the band whose energy lands in it must count.
+        sig = walk_signal()
+        cfg = small_config(1)
+        chain = full_grid_chain(sig, cfg)
+        lo, hi = 20, 60
+        targets = np.rint(chain["omega"].values)
+        cols = np.arange(targets.shape[1])
+        far = ((targets >= lo) & (targets <= hi)
+               & ((cols < lo - 20) | (cols > hi + 20)))
+        assert np.any(chain["dsstft"].values[far] != 0)
+        band = np.ascontiguousarray(np.abs(chain["dssst"].values)[:, lo : hi + 1])
+        assert kernel_dssst(sig, cfg, (lo, hi)).tobytes() == band.tobytes()
+
+    @pytest.mark.parametrize("kinds, workspaces", [((), 2), (("stft",), 0)])
+    def test_one_workspace_per_worker(self, kinds, workspaces, monkeypatch):
+        # 200 blocks on two workers: each worker allocates its buffers once,
+        # and a call that keeps a grid takes the full-width routine.
+        monkeypatch.setattr(tfr, "_pool_size", lambda: 2)
+        owners = []
+        workspace = tfr._BandWorkspace
+
+        def spy(*args):
+            owners.append(threading.current_thread())
+            return workspace(*args)
+
+        monkeypatch.setattr(tfr, "_BandWorkspace", spy)
+        sig, cfg = walk_signal(), small_config(1)
+        band_mag, _ = kernel(sig, cfg, kinds=kinds)
+        assert len(owners) == len(set(owners)) == workspaces
+        band = np.abs(full_grid_chain(sig, cfg)["dssst"].values)[:, 20:61]
+        assert band_mag.tobytes() == np.ascontiguousarray(band).tobytes()
+
     def test_block_with_no_cell_in_range_is_zero(self):
         # A middle block's frames see only zeros, so none of its cells is
         # reassigned.
@@ -725,14 +881,14 @@ class TestChunkedChain:
     def test_error_in_a_block_propagates_and_stops_the_pool(self, monkeypatch):
         monkeypatch.setattr(tfr, "_pool_size", lambda: 2)
         calls = itertools.count()
-        dsst_rows = tfr._dsst_rows
+        band_rows = tfr._band_rows
 
         def failing_second_block(*args, **kwargs):
             if next(calls) == 1:
                 raise RuntimeError("block failed")
-            return dsst_rows(*args, **kwargs)
+            return band_rows(*args, **kwargs)
 
-        monkeypatch.setattr(tfr, "_dsst_rows", failing_second_block)
+        monkeypatch.setattr(tfr, "_band_rows", failing_second_block)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="block failed"):
             kernel(walk_signal(), small_config(1))
@@ -745,7 +901,7 @@ class TestChunkedChain:
             self, monkeypatch):
         monkeypatch.setattr(tfr, "_pool_size", lambda: 2)
         calls, failed_at = itertools.count(), []
-        dsst_rows = tfr._dsst_rows
+        band_rows = tfr._band_rows
 
         def failing_callers_first_block(*args, **kwargs):
             call = next(calls)
@@ -753,9 +909,9 @@ class TestChunkedChain:
                     and not failed_at):
                 failed_at.append(call)
                 raise RuntimeError("caller's block failed")
-            return dsst_rows(*args, **kwargs)
+            return band_rows(*args, **kwargs)
 
-        monkeypatch.setattr(tfr, "_dsst_rows", failing_callers_first_block)
+        monkeypatch.setattr(tfr, "_band_rows", failing_callers_first_block)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="caller's block failed"):
             kernel(walk_signal(), small_config(1))
@@ -770,7 +926,7 @@ class TestChunkedChain:
                                                        monkeypatch):
         monkeypatch.setattr(tfr, "_pool_size", lambda: cores)
         started, threads = [], set()
-        start, dsst_rows = threading.Thread.start, tfr._dsst_rows
+        start, band_rows = threading.Thread.start, tfr._band_rows
 
         def counting_start(thread):
             started.append(thread)
@@ -778,10 +934,10 @@ class TestChunkedChain:
 
         def spy(*args, **kwargs):
             threads.add(threading.current_thread())
-            return dsst_rows(*args, **kwargs)
+            return band_rows(*args, **kwargs)
 
         monkeypatch.setattr(threading.Thread, "start", counting_start)
-        monkeypatch.setattr(tfr, "_dsst_rows", spy)
+        monkeypatch.setattr(tfr, "_band_rows", spy)
         kernel(walk_signal(), small_config(1))
         assert len(started) == helpers
         assert threading.main_thread() in threads
@@ -795,15 +951,13 @@ class TestChunkedChain:
         serial = kernel(sig, cfg)[0]
         monkeypatch.setattr(tfr, "_pool_size", lambda: 4)
         starts = collections.Counter()
-        dsst_rows = tfr._dsst_rows
+        band_rows = tfr._band_rows
 
-        def spy(frames, w, fft_half, gamma, upsilon, band, table, band_rows,
-                out):
-            starts[band_rows.ctypes.data] += 1
-            dsst_rows(frames, w, fft_half, gamma, upsilon, band, table,
-                      band_rows, out)
+        def spy(*args):
+            starts[args[-2].ctypes.data] += 1  # the block's rows of band_mag
+            band_rows(*args)
 
-        monkeypatch.setattr(tfr, "_dsst_rows", spy)
+        monkeypatch.setattr(tfr, "_band_rows", spy)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -828,11 +982,12 @@ class TestChunkedChain:
 
 class TestKernelMemory:
     def test_memory_beyond_band_mag_does_not_grow_with_the_bout(self):
-        # Default configuration, hop 1, 100 Hz: blocks of 8 frames x 4097
-        # bins, two at a time, hold ~4.6 MB of stage arrays at the peak
-        # beside the 60 s bout's 8.6 MB band_mag (~5.6 MB while V' was held
-        # through the cepstrum and every stage array to the block's end).
-        # Blocks of 16 frames peaked at 19.5 MB in all, blocks of 256
+        # Default configuration, hop 1, 100 Hz: each of the two workers
+        # holds one 8-frame workspace of 1.5 MB, and the kernel peaks at
+        # ~3.5 MB beside the 60 s bout's 8.6 MB band_mag (~4.6 MB while each
+        # block allocated and dropped its own stage arrays, ~5.6 MB while V'
+        # was held through the cepstrum and every stage array to the block's
+        # end). Blocks of 16 frames peaked at 19.5 MB in all, blocks of 256
         # frames at ~170 MB.
         cfg = PipelineConfig().validate()
         peaks, band_bytes = {}, {}
@@ -847,13 +1002,14 @@ class TestKernelMemory:
             finally:
                 tracemalloc.stop()
             band_bytes[seconds] = band_mag.nbytes
-        assert peaks[60] - band_bytes[60] < 5.0e6
+        assert peaks[60] - band_bytes[60] < 3.8e6
         assert peaks[60] - peaks[30] < band_bytes[60] - band_bytes[30] + 2**21
 
     def test_memory_beyond_the_outputs_with_dssst_kept(self):
-        # Hop 10 on a 37.7 s bout, as a multi-bout run exporting dssst: two
-        # blocks' full-width squeezes peak at ~4.4 MB beyond the outputs
-        # (~7.0 MB with V, the cepstrum and V'/V's own array held).
+        # Hop 10 on a 37.7 s bout, as a multi-bout run exporting dssst: the
+        # full-width routine allocates each block's stage arrays, and two
+        # blocks' squeezes peak at ~4.4 MB beyond the outputs (~7.0 MB with
+        # V, the cepstrum and V'/V's own array held).
         cfg = PipelineConfig(hop=10).validate()
         sig = walk_signal(n=3770, fs=100.0)
         M = cfg.fft_half(cfg.window_half(sig.fs))
@@ -882,3 +1038,37 @@ class TestKernelMemory:
                 tracemalloc.stop()
             extra[n] = peak - band_mag.nbytes
         assert extra[16000] - extra[2000] < 1e6
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads Linux's minor-fault count")
+    def test_cold_call_does_not_refault_its_blocks(self):
+        # A fresh interpreter, one dsst call on a 60 s hop-1 walk at the
+        # default configuration: each worker's workspace is faulted in once.
+        # With a block's stage arrays allocated per block, glibc handed them
+        # back to the system and faulted them in again on every block: about
+        # 590k minor faults.
+        code = textwrap.dedent("""
+            import resource, sys
+            sys.path.insert(0, sys.argv[1])
+            import numpy as np
+            from gaitcadence.config import PipelineConfig
+            from gaitcadence.ridge import band_to_bins
+            from gaitcadence.signal import Signal, gaussian_window
+            from gaitcadence.tfr import dsst
+            rng = np.random.default_rng(8)
+            t = np.arange(6000) / 100.0
+            sig = Signal(np.abs(np.cos(2 * np.pi * t)
+                                + 0.3 * rng.normal(size=t.size)), 100.0)
+            cfg = PipelineConfig().validate()
+            K = cfg.window_half(sig.fs)
+            M = cfg.fft_half(K)
+            band = band_to_bins(cfg.band_hz, sig.fs, M)
+            w = gaussian_window(K, cfg.sigma)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            dsst(sig, w, M, cfg.hop, cfg.gamma, cfg.upsilon, band)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        src = str(Path(tfr.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                             capture_output=True, text=True, timeout=300)
+        assert int(out.stdout.split()[-1]) < 50_000
