@@ -20,8 +20,6 @@ from .io import (export_tfr, load_trace_csv, write_bland_altman_csv,
 from .pipeline import (analyze_signal, analysis_grid, load_recording,
                        preprocess, run_pipeline, slice_record)
 from .signal import TriaxialRecord, VALID_LOCATIONS
-from .synth import (BoutModel, ConstantProfile, LinearProfile, WalkingModelSpec,
-                    WaveShape, ar1_sd_for_snr, synthesize_walk)
 from .tfr import GRID_KINDS, KIND_DSSST
 
 logger = logging.getLogger(__name__)
@@ -166,6 +164,11 @@ def run(input_csv, labels_csv, outdir, export_kinds, export_format,
 def synth(duration, fs, bout_specs, if_hz, if_ramp, alphas, betas, alpha0,
           amp, snr_db, rho, baseline, seed, out_csv, out_labels, out_truth):
     """Generate a synthetic walking recording with known cadence."""
+    # Here, not at the top: no other command needs the synthesis model.
+    from .synth import (BoutModel, ConstantProfile, LinearProfile,
+                        WalkingModelSpec, WaveShape, ar1_sd_for_snr,
+                        synthesize_walk)
+
     alpha_vals = _parse_option("--alphas", "comma-separated floats", alphas,
                                ",", _floats)
     if betas is None:

@@ -2,16 +2,23 @@
 
 ``run_pipeline`` and the ``tfr`` command load a recording through
 ``load_recording`` and turn a time range into samples through
-``slice_record``. Each bout is analyzed on its own slice of samples, so one
-bout's data can never influence another bout's outputs. The transform chain
-itself is ``tfr.dsst``, which returns only what the run reads: the squeezed
-magnitudes in the search band, plus any requested full grids.
+``slice_record``'s index and clipping rule. Each bout is analyzed on its
+own slice of samples, so one bout's data can never influence another bout's
+outputs. The transform chain itself is ``tfr.dsst``, which returns only
+what the run reads: the squeezed magnitudes in the search band, plus any
+requested full grids.
 
-``run_pipeline`` owns each bout's ``band_mag``: nothing reads it after the
+``run_pipeline`` holds one magnitude signal and one grid buffer per kind.
+Each bout reads only the vector magnitude of its samples, so the run
+computes the whole recording's magnitude once, notes its overflowing
+samples, and lets the three axes go before the first bout. Each exported
+grid kind gets one ``(n_max, M + 1)`` buffer, ``n_max`` the largest frame
+count of any bout, and each bout's kernel fills its first rows in place.
+The run also owns each bout's ``band_mag``: nothing reads it after the
 ridge, so the ridge scores it in place and a bout holds one band-sized
-array, not two. Library callers own theirs: ``analyze_bout`` and
-``extract_bout_ridge`` as called by default leave ``band_mag`` as
-``analyze_signal`` made it.
+array, not two. Library callers own theirs: ``analyze_signal``,
+``analyze_bout`` and ``extract_bout_ridge`` as called by default return
+fresh grids and leave ``band_mag`` as ``analyze_signal`` made it.
 """
 
 from __future__ import annotations
@@ -32,8 +39,9 @@ from .io import (check_bout_spans, check_tfr_format, export_tfr,
                  write_trace_csv)
 from .ridge import (CadenceTrace, RidgeCurve, band_to_bins, cadence_from_ridge,
                     check_band, ridge_dp)
-from .signal import Signal, TriaxialRecord, gaussian_window, median_detrend, \
-    rectify, vector_magnitude
+from .signal import Signal, TriaxialRecord, gaussian_window, \
+    magnitude_samples, median_detrend, overflow_error, rectify, \
+    vector_magnitude
 from .tfr import GRID_KINDS, TFRGrid, dsst
 
 logger = logging.getLogger(__name__)
@@ -60,22 +68,27 @@ def _check_kinds(kinds):
             f"unknown grid kinds {sorted(unknown)}; expected {GRID_KINDS}")
 
 
+def detrend_rectify(mag: Signal) -> Signal:
+    """Running-median detrend, then rectification, of a magnitude signal."""
+    return rectify(median_detrend(mag))
+
+
 def preprocess(rec: TriaxialRecord, t0: float = 0.0) -> Signal:
     """Vector magnitude, running-median detrend, rectification."""
-    mag = Signal(vector_magnitude(rec).samples, rec.fs, t0)
-    detrended = median_detrend(mag)
-    return rectify(detrended)
+    return detrend_rectify(Signal(vector_magnitude(rec).samples, rec.fs, t0))
 
 
-def analyze_signal(sig: Signal, cfg: PipelineConfig,
-                   collect=()) -> BoutAnalysis:
+def analyze_signal(sig: Signal, cfg: PipelineConfig, collect=(),
+                   out=None) -> BoutAnalysis:
     """Run the de-shape synchrosqueezing chain over one signal.
 
     The squeezed magnitudes in ``cfg.band_hz`` are always kept as
     ``band_mag``. ``collect`` names grid kinds ("stft", "stct", "istct-mask",
     "dsstft", "sst", "dssst") whose full magnitude matrices should be kept,
     each ``n_frames x (M + 1)`` floats; no other full grid is built. An
-    unknown kind raises ``ParameterError``.
+    unknown kind raises ``ParameterError``. Each kept grid is a new array
+    unless ``out`` maps its kind to a float64 array of exactly that shape,
+    which is filled in place (``tfr.dsst``).
     """
     collect = set(collect)
     _check_kinds(collect)
@@ -83,7 +96,8 @@ def analyze_signal(sig: Signal, cfg: PipelineConfig,
     M = cfg.fft_half(K)
     band = band_to_bins(cfg.band_hz, sig.fs, M)
     band_mag, grids = dsst(sig, gaussian_window(K, cfg.sigma), M, cfg.hop,
-                           cfg.gamma, cfg.upsilon, band, kinds=collect)
+                           cfg.gamma, cfg.upsilon, band, kinds=collect,
+                           out=out)
     return BoutAnalysis(band_mag=band_mag, band_bins=band, fft_half=M,
                         hop=cfg.hop, fs=sig.fs, t0=sig.t0,
                         n_frames=band_mag.shape[0], grids=grids)
@@ -160,6 +174,28 @@ def load_recording(cfg: PipelineConfig, path) -> TriaxialRecord:
     return rec
 
 
+def _sample_range(n: int, fs: float, start_s=None,
+                  end_s=None) -> tuple[int, int, str]:
+    """Samples ``lo:hi`` of an ``n``-sample recording at ``fs`` Hz that lie
+    from ``start_s`` to ``end_s`` seconds, with ``slice_record``'s rules,
+    and its note."""
+    for name, bound in (("start", start_s), ("end", end_s)):
+        if bound is not None and not np.isfinite(bound):
+            raise ParameterError(f"{name} time must be finite, got {bound}")
+    i0 = 0 if start_s is None else int(round(start_s * fs))
+    i1 = n if end_s is None else int(round(end_s * fs))
+    lo, hi = max(0, i0), min(n, i1)
+    if hi <= lo:
+        raise DataFormatError(
+            f"time range [{start_s}, {end_s}] s holds no sample of the recording"
+        )
+    note = ""
+    if (lo, hi) != (i0, i1):
+        note = (f"[{start_s}, {end_s}] runs past the {n / fs:g} s "
+                "recording; clipped to it")
+    return lo, hi, note
+
+
 def slice_record(rec: TriaxialRecord, start_s=None,
                  end_s=None) -> tuple[TriaxialRecord, float, str]:
     """Samples of ``rec`` from ``start_s`` to ``end_s`` seconds.
@@ -170,39 +206,41 @@ def slice_record(rec: TriaxialRecord, start_s=None,
     ``""``; a range holding no sample raises ``DataFormatError`` and a
     non-finite bound ``ParameterError``.
     """
-    for name, bound in (("start", start_s), ("end", end_s)):
-        if bound is not None and not np.isfinite(bound):
-            raise ParameterError(f"{name} time must be finite, got {bound}")
-    i0 = 0 if start_s is None else int(round(start_s * rec.fs))
-    i1 = len(rec) if end_s is None else int(round(end_s * rec.fs))
-    lo, hi = max(0, i0), min(len(rec), i1)
-    if hi <= lo:
-        raise DataFormatError(
-            f"time range [{start_s}, {end_s}] s holds no sample of the recording"
-        )
-    note = ""
-    if (lo, hi) != (i0, i1):
-        note = (f"[{start_s}, {end_s}] runs past the {len(rec) / rec.fs:g} s "
-                "recording; clipped to it")
+    lo, hi, note = _sample_range(len(rec), rec.fs, start_s, end_s)
     sliced = TriaxialRecord(x=rec.x[lo:hi], y=rec.y[lo:hi], z=rec.z[lo:hi],
                             fs=rec.fs, location=rec.location)
     return sliced, lo / rec.fs, note
 
 
-def _analyze_slice(sliced: TriaxialRecord, t0: float, cfg: PipelineConfig,
-                   collect, consume_band=False):
-    """Analysis, ridge and trace of one slice. With ``consume_band`` the
-    ridge scores ``band_mag`` in place and the returned analysis has
-    ``band_mag = None``."""
-    sig = preprocess(sliced, t0=t0)
-    analysis = analyze_signal(sig, cfg, collect=collect)
+def _n_frames(n_samples: int, hop: int) -> int:
+    """Frames of an ``n_samples`` slice at ``hop``: ``ceil(n_samples / hop)``,
+    as ``tfr._frames`` makes them."""
+    return -(-n_samples // hop)
+
+
+def _recording_magnitude(rec: TriaxialRecord):
+    """The vector magnitude of every sample of ``rec``, the indices of the
+    samples where it overflows float64 and their axis values, one row per
+    sample. The loader rejects non-finite values, so every infinite
+    magnitude is an overflow."""
+    mag = magnitude_samples(rec)
+    over = np.flatnonzero(np.isinf(mag))
+    return mag, over, np.column_stack([rec.x[over], rec.y[over], rec.z[over]])
+
+
+def _analyze_slice(sig: Signal, cfg: PipelineConfig, collect,
+                   consume_band=False, out=None):
+    """Analysis, ridge and trace of one preprocessed slice. With
+    ``consume_band`` the ridge scores ``band_mag`` in place and the returned
+    analysis has ``band_mag = None``; ``out`` goes to ``analyze_signal``."""
+    analysis = analyze_signal(sig, cfg, collect=collect, out=out)
     ridge = extract_bout_ridge(
         analysis, cfg.ridge_lambda,
         out=analysis.band_mag if consume_band else None)
     if consume_band:
         analysis.band_mag = None
     trace = cadence_from_ridge(ridge, fs=analysis.fs, fft_half=analysis.fft_half,
-                               hop=analysis.hop, t0=t0)
+                               hop=analysis.hop, t0=analysis.t0)
     return analysis, ridge, trace
 
 
@@ -214,7 +252,7 @@ def analyze_bout(rec: TriaxialRecord, bout: BoutInterval, cfg: PipelineConfig,
     the curve rather than raised, so the caller decides how to report it.
     """
     sliced, t0, _ = slice_record(rec, bout.start_s, bout.end_s)
-    return _analyze_slice(sliced, t0, cfg, collect)
+    return _analyze_slice(preprocess(sliced, t0=t0), cfg, collect)
 
 
 def run_pipeline(cfg: PipelineConfig, input_csv, labels_csv, outdir,
@@ -236,6 +274,20 @@ def run_pipeline(cfg: PipelineConfig, input_csv, labels_csv, outdir,
 
     rec = load_recording(cfg, input_csv)
     bouts = load_labels_csv(labels_csv)
+    fs, M = rec.fs, cfg.fft_half(cfg.window_half(rec.fs))
+    mag, over, over_axes = _recording_magnitude(rec)
+    del rec  # each bout reads only the magnitude
+
+    # One buffer per exported kind, for the bout with the most frames; a
+    # bout whose range holds no sample fails in the loop below.
+    n_max = 0
+    for bout in bouts:
+        try:
+            lo, hi, _ = _sample_range(mag.size, fs, bout.start_s, bout.end_s)
+        except CadenceError:
+            continue
+        n_max = max(n_max, _n_frames(hi - lo, cfg.hop))
+    buffers = {kind: np.empty((n_max, M + 1)) for kind in export_kinds}
 
     warnings = []
     outcomes = []
@@ -246,16 +298,23 @@ def run_pipeline(cfg: PipelineConfig, input_csv, labels_csv, outdir,
         t_bout = time.perf_counter()
         status, message, n_frames, mean_hz = "ok", "", 0, None
         try:
-            sliced, t0, note = slice_record(rec, bout.start_s, bout.end_s)
-            analyzed = BoutInterval(t0, t0 + len(sliced) / rec.fs, bout.label)
+            lo, hi, note = _sample_range(mag.size, fs, bout.start_s,
+                                         bout.end_s)
+            t0 = lo / fs
+            analyzed = BoutInterval(t0, t0 + (hi - lo) / fs, bout.label)
             notes = [f"bout {idx} {note}"] if note else []
             notes += check_bout_spans([analyzed], cfg.window_span_s)
             for msg in notes:  # recorded before the analysis, which may fail
                 logger.warning("%s", msg)
                 warnings.append(msg)
-            analysis, ridge, trace = _analyze_slice(sliced, t0, cfg,
-                                                    export_kinds,
-                                                    consume_band=True)
+            k = np.searchsorted(over, lo)  # the bout's first overflow, if any
+            if k < over.size and over[k] < hi:
+                raise overflow_error(over[k] - lo, *over_axes[k])
+            n = _n_frames(hi - lo, cfg.hop)
+            analysis, ridge, trace = _analyze_slice(
+                detrend_rectify(Signal(mag[lo:hi], fs, t0)), cfg,
+                export_kinds, consume_band=True,
+                out={kind: buf[:n] for kind, buf in buffers.items()})
             if ridge.degenerate:
                 raise DataFormatError(
                     "degenerate ridge: band energy is all zero")
@@ -271,15 +330,13 @@ def run_pipeline(cfg: PipelineConfig, input_csv, labels_csv, outdir,
             status, message = "error", str(exc)
             logger.error("bout %d [%s, %s] failed: %s", idx, bout.start_s,
                          bout.end_s, message)
-        finally:
-            # Free this bout's grids, exported or not, before the next bout's
-            # kernel allocates its own.
-            analysis = None
         outcomes.append(BoutOutcome(
             start_s=bout.start_s, end_s=bout.end_s, label=bout.label,
             status=status, message=message, n_frames=n_frames,
             mean_cadence_hz=mean_hz, elapsed_s=time.perf_counter() - t_bout,
         ))
+    # The last bout's grids are views of the buffers: all go now.
+    analysis = buffers = mag = None
 
     if traces:
         # The bouts are sorted and disjoint, so the traces are in time order.

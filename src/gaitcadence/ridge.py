@@ -77,8 +77,8 @@ def ridge_dp(mag: np.ndarray, penalty: float, out: np.ndarray | None = None):
     so each maximum is taken over ``2W + 1`` successors only; rounding is
     monotone, so it is the exact maximum. A forward pass recovers the path
     from the full rows, with the same floats as a full comparison. O(T * B *
-    W) time; besides the score block it keeps O(B) rows and a bounded
-    candidate buffer, no pointer array and no B x B matrix.
+    W) time; besides the score block it keeps O(B) rows and one bounded
+    candidate buffer per call, no pointer array and no B x B matrix.
 
     The score block is a new array unless ``out``, a float64 array of
     ``mag``'s shape, is given; ``out`` may be ``mag`` itself, which then
@@ -112,6 +112,11 @@ def ridge_dp(mag: np.ndarray, penalty: float, out: np.ndarray | None = None):
     jump = penalty * np.arange(1 - B, B, dtype=np.float64) ** 2
     padded = np.full(3 * B - 2, -np.inf)
     shifted = np.lib.stride_tricks.sliding_window_view(padded, 2 * B - 1).T
+    # Scratch for every row: the candidates of one banded maximum, at most
+    # max(_CAND_CELLS, 2B - 1) cells and never more than all (2B - 1) x B,
+    # and one B-wide row of maxima or differences.
+    cand = np.empty(min(max(_CAND_CELLS, 2 * B - 1), (2 * B - 1) * B))
+    row = np.empty(B)
     for t in range(T - 2, -1, -1):
         nxt = score[t + 1]
         if penalty == 0:
@@ -123,14 +128,19 @@ def ridge_dp(mag: np.ndarray, penalty: float, out: np.ndarray | None = None):
         near = slice(B - 1 - W, B + W)
         step = max(1, _CAND_CELLS // (2 * W + 1))
         for b in range(0, B, step):
-            score[t, b : b + step] += np.maximum.reduce(
-                shifted[near, b : b + step] - jump[near, None], axis=0)
+            cols = slice(b, min(b + step, B))
+            width = cols.stop - b
+            block = cand[: (2 * W + 1) * width].reshape(2 * W + 1, width)
+            np.subtract(shifted[near, cols], jump[near, None], out=block)
+            np.maximum.reduce(block, axis=0, out=row[:width])
+            score[t, cols] += row[:width]
 
     bins = np.empty(T, dtype=np.int64)
     bins[0] = np.argmax(score[0])
     for t in range(1, T):
         prev = bins[t - 1]
-        bins[t] = np.argmax(score[t] - jump[B - 1 - prev : 2 * B - 1 - prev])
+        np.subtract(score[t], jump[B - 1 - prev : 2 * B - 1 - prev], out=row)
+        bins[t] = row.argmax()
     return bins, False
 
 

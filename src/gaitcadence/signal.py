@@ -106,6 +106,21 @@ class Window:
         return 2 * self.K + 1
 
 
+def magnitude_samples(rec: TriaxialRecord) -> np.ndarray:
+    """Euclidean magnitude of the three axes, sample by sample, with no
+    check: a sample whose squared sum overflows float64 reads ``inf``."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(rec.x**2 + rec.y**2 + rec.z**2)
+
+
+def overflow_error(k: int, x, y, z) -> ParameterError:
+    """The error naming sample ``k``, whose finite axes ``x, y, z`` have a
+    vector magnitude that overflows float64."""
+    return ParameterError(
+        f"sample {k}: the vector magnitude of the finite axes "
+        f"({x}, {y}, {z}) overflows float64")
+
+
 def vector_magnitude(rec: TriaxialRecord) -> Signal:
     """Euclidean magnitude of the three axes, sample by sample.
 
@@ -113,14 +128,11 @@ def vector_magnitude(rec: TriaxialRecord) -> Signal:
     finite axes whose squared sum overflows float64 (an axis above about
     1.3e154), naming that sample.
     """
-    with np.errstate(over="ignore"):
-        mag = np.sqrt(rec.x**2 + rec.y**2 + rec.z**2)
+    mag = magnitude_samples(rec)
     inf = np.flatnonzero(np.isinf(mag))
     if inf.size and all(np.isfinite(a[inf[0]]) for a in (rec.x, rec.y, rec.z)):
         k = inf[0]
-        raise ParameterError(
-            f"sample {k}: the vector magnitude of the finite axes "
-            f"({rec.x[k]}, {rec.y[k]}, {rec.z[k]}) overflows float64")
+        raise overflow_error(k, rec.x[k], rec.y[k], rec.z[k])
     return Signal(mag, rec.fs)
 
 

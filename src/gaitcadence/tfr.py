@@ -28,6 +28,7 @@ the direct-sum STFT oracle.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -535,13 +536,18 @@ def _frame_blocks(n: int) -> list[slice]:
 
 
 def dsst(s: Signal, w: Window, fft_half: int, hop: int, gamma: float,
-         upsilon: float, band, kinds=()):
+         upsilon: float, band, kinds=(), out=None):
     """De-shape synchrosqueezing chain over balanced blocks of frames.
 
     Returns ``(band_mag, grids)``. ``band_mag`` is ``(n_frames, hi - lo + 1)``:
     the squeezed magnitudes in the inclusive column range ``band = (lo, hi)``,
     equal to those columns of a full squeeze. ``grids`` maps each grid kind
     named in ``kinds`` to its full ``(n_frames, fft_half + 1)`` magnitudes.
+    Each kept grid is a new array unless ``out``, a mapping from kept kinds
+    to float64 arrays of exactly that shape, gives one; the kernel fills it
+    in place, with the same rows as a new array. A kind in ``out`` that is
+    not kept, an array of another shape or dtype, or two arrays that may
+    share memory raise ``StructuralError``.
 
     The frames are split by ``_frame_blocks``: an even number of contiguous
     blocks of near-equal size, at most ``_CHUNK_FRAMES`` frames each, so the
@@ -579,8 +585,18 @@ def dsst(s: Signal, w: Window, fft_half: int, hop: int, gamma: float,
     frames = _frames(s.samples, w.K, hop)
     n = frames.shape[0]
     band_mag = np.empty((n, band[1] - band[0] + 1))
-    grids = {kind: np.empty((n, fft_half + 1)) for kind in GRID_KINDS
-             if kind in kinds}
+    shape = (n, fft_half + 1)
+    out = {} if out is None else out
+    for kind, grid in out.items():
+        if kind not in kinds or grid.shape != shape or grid.dtype != np.float64:
+            raise StructuralError(
+                f"dsst out[{kind!r}] must be a kept kind's float64 array "
+                f"of shape {shape}")
+    if any(np.may_share_memory(a, b)
+           for a, b in itertools.combinations(out.values(), 2)):
+        raise StructuralError("dsst out arrays must not share memory")
+    grids = {kind: out[kind] if kind in out else np.empty(shape)
+             for kind in GRID_KINDS if kind in kinds}
     # One of each for every block.
     table = _istct_interp_table(fft_half)
     scale = _omega_scale(fft_half, w.K)

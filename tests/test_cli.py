@@ -471,6 +471,15 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_synth():
+    # Only the synth command needs the synthesis model.
+    code = ("import sys, gaitcadence.cli; "
+            "print('gaitcadence.synth' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=_src_env())
+    assert out.stdout.strip() == "False"
+
+
 def test_run_and_tfr_work_without_scipy(synth_files, tmp_path):
     # Any import of scipy in the child raises ImportError.
     code = ("import sys; sys.modules['scipy'] = None\n"

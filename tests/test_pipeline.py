@@ -10,10 +10,16 @@ import pytest
 from gaitcadence.analysis import BoutInterval
 from gaitcadence.cli import main
 from gaitcadence.config import PipelineConfig
-from gaitcadence.errors import DataFormatError, ParameterError
-from gaitcadence.io import load_trace_csv, write_labels_csv, write_triaxial_csv
-from gaitcadence.pipeline import (analyze_bout, analyze_signal, preprocess,
-                                  run_pipeline, slice_record)
+from gaitcadence.analysis import bout_cadence_summary
+from gaitcadence.errors import DataFormatError, ParameterError, StructuralError
+from gaitcadence.io import (export_tfr, load_labels_csv, load_trace_csv,
+                            load_triaxial_csv, write_labels_csv,
+                            write_summary_csv, write_trace_csv,
+                            write_triaxial_csv)
+from gaitcadence.pipeline import (analysis_grid, analyze_bout, analyze_signal,
+                                  preprocess, run_pipeline, slice_record)
+from gaitcadence.ridge import CadenceTrace
+from gaitcadence.signal import vector_magnitude
 from gaitcadence.synth import ConstantProfile
 
 from conftest import as_record, make_walk
@@ -91,6 +97,17 @@ class TestAnalyzeBout:
         _, res = make_walk(duration_s=28.0, bout=(2.0, 26.0), fs=50.0, seed=5)
         with pytest.raises(ParameterError, match="hop must be >= 1"):
             analyze_signal(res.signal, PipelineConfig(**FAST, hop=0))
+
+    @pytest.mark.parametrize("dtype, extra_rows", [(np.float64, 1),
+                                                   (np.float32, 0)])
+    def test_wrong_out_rejected(self, dtype, extra_rows):
+        _, res = make_walk(duration_s=28.0, bout=(2.0, 26.0), fs=50.0, seed=5)
+        cfg = fast_config(hop=5)
+        n = -(-len(res.signal) // 5)
+        M = cfg.fft_half(cfg.window_half(res.signal.fs))
+        out = {"dssst": np.empty((n + extra_rows, M + 1), dtype)}
+        with pytest.raises(StructuralError, match="out"):
+            analyze_signal(res.signal, cfg, collect=("dssst",), out=out)
 
     def test_unknown_grid_kind_rejected(self):
         _, res = make_walk(duration_s=28.0, bout=(2.0, 26.0), fs=50.0, seed=5)
@@ -290,16 +307,27 @@ class TestRunPipeline:
     @pytest.mark.parametrize("export_fails", [False, True])
     def test_one_bouts_grids_at_a_time(self, small_fixture, tmp_path,
                                        monkeypatch, export_fails):
-        # Bout 1's dssst grid, exported or not, is freed before bout 2's
-        # kernel allocates its own.
+        # The loaded axes are gone before the first bout's kernel runs, and
+        # each bout's kept grids, exported or not, are the first rows of the
+        # run's one buffer per kind, sized to the longest bout (bout 2: 60
+        # frames against 55); the buffers go with the run.
         import gaitcadence.pipeline as pipeline
-        dsst, export_tfr = pipeline.dsst, pipeline.export_tfr
-        grids, alive_at_start = [], []
+        load, dsst = pipeline.load_recording, pipeline.dsst
+        export_tfr = pipeline.export_tfr
+        axes, axes_alive, buffers, views = [], [], {}, []
+
+        def tracked_load(*args):
+            rec = load(*args)
+            axes.extend(weakref.ref(a) for a in (rec.x, rec.y, rec.z))
+            return rec
 
         def tracked_dsst(*args, **kwargs):
-            alive_at_start.append([ref() is not None for ref in grids])
+            axes_alive.append([ref() is not None for ref in axes])
             band_mag, kept = dsst(*args, **kwargs)
-            grids.append(weakref.ref(kept["dssst"]))
+            for kind, grid in kept.items():
+                buf = buffers.setdefault(kind, weakref.ref(grid.base))()
+                views.append((kind, grid.base is buf, grid.shape[0],
+                              buf.shape[0], grid.ctypes.data == buf.ctypes.data))
             return band_mag, kept
 
         def export(grid, path, fmt):
@@ -307,17 +335,23 @@ class TestRunPipeline:
                 raise DataFormatError("disk full")
             export_tfr(grid, path, fmt)
 
+        monkeypatch.setattr(pipeline, "load_recording", tracked_load)
         monkeypatch.setattr(pipeline, "dsst", tracked_dsst)
         monkeypatch.setattr(pipeline, "export_tfr", export)
         csv_path, _ = small_fixture
         labels = tmp_path / "labels.csv"
         labels.write_text("start_s,end_s,label\n2,13,1\n14,26,3\n")
         report = run_pipeline(fast_config(hop=10), csv_path, labels,
-                              tmp_path / "out", export_kinds=("dssst",),
+                              tmp_path / "out", export_kinds=("dssst", "stft"),
                               export_format="pgm")
         assert [b.status for b in report.bouts] == (
             ["error"] * 2 if export_fails else ["ok"] * 2)
-        assert alive_at_start == [[], [False]]
+        assert axes_alive == [[False] * 3] * 2
+        assert views == [("stft", True, 55, 60, True),
+                         ("dssst", True, 55, 60, True),
+                         ("stft", True, 60, 60, True),
+                         ("dssst", True, 60, 60, True)]
+        assert [ref() for ref in buffers.values()] == [None, None]
 
     def test_ridge_scores_band_mag_in_place(self, small_fixture, tmp_path,
                                             monkeypatch):
@@ -377,3 +411,94 @@ class TestRunPipeline:
         exported = [p for p in loaded["outputs"] if p.endswith(".f64le")]
         assert [p.rsplit("_", 1)[1] for p in exported] == ["stft.f64le",
                                                             "dssst.f64le"]
+
+
+@pytest.fixture(scope="module")
+def three_bouts(tmp_path_factory):
+    """A 60 s walk at 50 Hz with bouts of 12, 25 and 15 s: the longest, which
+    sizes the run's grid buffers, is neither first nor last."""
+    outdir = tmp_path_factory.mktemp("three_bouts")
+    _, res = make_walk(duration_s=60.0, bout=(2.0, 58.0), fs=50.0, seed=11)
+    csv_path, labels = outdir / "rec.csv", outdir / "labels.csv"
+    write_triaxial_csv(csv_path, as_record(res))
+    labels.write_text("start_s,end_s,label\n2,14,1\n15,40,2\n41,56,3\n")
+    return csv_path, labels
+
+
+def with_sample(csv_path, tmp_path, row, x):
+    """A copy of the recording whose ``row``-th sample has x axis ``x``."""
+    lines = csv_path.read_text().splitlines()
+    fields = lines[row + 1].split(",")
+    fields[1] = x
+    lines[row + 1] = ",".join(fields)
+    out = tmp_path / "edited.csv"
+    out.write_text("\n".join(lines) + "\n")
+    return out
+
+
+class TestRunBuffers:
+    @pytest.mark.parametrize("fmt", ["pgm", "f64le"])
+    def test_outputs_equal_fresh_per_bout_analyses(self, three_bouts, tmp_path,
+                                                   fmt):
+        csv_path, labels = three_bouts
+        cfg = fast_config(hop=5)
+        kinds = ("stft", "sst", "dssst")
+        report = run_pipeline(cfg, csv_path, labels, tmp_path / "run",
+                              export_kinds=kinds, export_format=fmt)
+        assert [b.status for b in report.bouts] == ["ok"] * 3
+
+        rec, bouts = load_triaxial_csv(csv_path), load_labels_csv(labels)
+        want = tmp_path / "want"
+        want.mkdir()
+        traces = []
+        for idx, bout in enumerate(bouts, start=1):
+            analysis, _, trace = analyze_bout(rec, bout, cfg, collect=kinds)
+            assert all(grid.base is None for grid in analysis.grids.values())
+            for kind in kinds:
+                export_tfr(analysis_grid(analysis, kind),
+                           want / f"tfr_bout{idx:02d}_{kind}.{fmt}", fmt)
+            traces.append(trace)
+        merged = CadenceTrace(
+            times=np.concatenate([t.times for t in traces]),
+            if_hz=np.concatenate([t.if_hz for t in traces]),
+            cadence_hz=np.concatenate([t.cadence_hz for t in traces]),
+            frame_dt=traces[0].frame_dt)
+        write_trace_csv(want / "cadence.csv", merged,
+                        np.repeat([b.label for b in bouts],
+                                  [len(t) for t in traces]))
+        write_summary_csv(want / "summary.csv",
+                          bout_cadence_summary(merged, bouts))
+        names = sorted(p.name for p in want.iterdir())
+        assert len(names) == 2 + 3 * len(kinds)
+        for name in names:
+            assert ((tmp_path / "run" / name).read_bytes()
+                    == (want / name).read_bytes()), name
+
+    def test_overflow_fails_only_its_bout(self, three_bouts, tmp_path):
+        # Row 1000 is sample 250 of bout 2, which starts at row 750.
+        csv_path, labels = three_bouts
+        bad = with_sample(csv_path, tmp_path, 1000, "1.5e160")
+        rec = load_triaxial_csv(bad)
+        sliced, _, _ = slice_record(rec, 15.0, 40.0)
+        with pytest.raises(ParameterError) as want:
+            vector_magnitude(sliced)
+        report = run_pipeline(fast_config(hop=10), bad, labels,
+                              tmp_path / "out", export_kinds=("dssst",))
+        assert [(b.status, b.message) for b in report.bouts] == [
+            ("ok", ""), ("error", str(want.value)), ("ok", "")]
+        assert str(want.value).startswith("sample 250: ")
+        assert "(1.5e+160, 0.0, 0.0)" in str(want.value)
+
+    def test_overflow_outside_every_bout_fails_nothing(self, three_bouts,
+                                                       tmp_path):
+        # Row 725 lies at 14.5 s, between bouts 1 and 2.
+        csv_path, labels = three_bouts
+        bad = with_sample(csv_path, tmp_path, 725, "1.5e160")
+        cfg = fast_config(hop=10)
+        report = run_pipeline(cfg, bad, labels, tmp_path / "bad")
+        run_pipeline(cfg, csv_path, labels, tmp_path / "clean")
+        assert [b.status for b in report.bouts] == ["ok"] * 3
+        for name in ("cadence.csv", "summary.csv"):
+            assert ((tmp_path / "bad" / name).read_bytes()
+                    == (tmp_path / "clean" / name).read_bytes())
+

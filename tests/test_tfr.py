@@ -655,13 +655,13 @@ def full_grid_chain(sig, cfg):
             "dssst": synchrosqueeze(wgrid, omega), "omega": omega}
 
 
-def kernel(sig, cfg, band=(20, 60), kinds=()):
+def kernel(sig, cfg, band=(20, 60), kinds=(), out=None):
     """The kernel's ``(band_mag, grids)`` over ``sig`` with the test
     configuration."""
     K = cfg.window_half(sig.fs)
     w = gaussian_window(K, cfg.sigma)
     return dsst(sig, w, cfg.fft_half(K), cfg.hop, cfg.gamma, cfg.upsilon,
-                band, kinds=kinds)
+                band, kinds=kinds, out=out)
 
 
 def kernel_dssst(sig, cfg, band):
@@ -756,6 +756,38 @@ class TestChunkedChain:
             assert grids[kind].tobytes() == want.tobytes(), kind
         band = np.ascontiguousarray(np.abs(full["dssst"].values)[:, 20:61])
         assert band_mag.tobytes() == band.tobytes()
+
+    @pytest.mark.parametrize("hop", [1, 3])
+    def test_out_rows_get_the_bits_of_fresh_grids(self, hop):
+        # As the run passes them: the first rows of longer buffers.
+        sig = walk_signal()
+        cfg = small_config(hop)
+        kinds = ("stft", "sst", "dssst")
+        fresh_band, fresh = kernel(sig, cfg, kinds=kinds)
+        n, width = fresh["stft"].shape
+        buffers = {kind: np.full((n + 7, width), np.nan) for kind in kinds}
+        out = {kind: buf[:n] for kind, buf in buffers.items()}
+        band_mag, grids = kernel(sig, cfg, kinds=kinds, out=out)
+        assert band_mag.tobytes() == fresh_band.tobytes()
+        for kind in kinds:
+            assert grids[kind] is out[kind]
+            assert grids[kind].tobytes() == fresh[kind].tobytes(), kind
+            assert np.isnan(buffers[kind][n:]).all(), kind
+
+    @pytest.mark.parametrize("case", ["rows", "columns", "float32", "not kept",
+                                      "shared"])
+    def test_wrong_out_rejected(self, case):
+        sig = walk_signal(n=200)
+        cfg = small_config(1)
+        width = cfg.fft_half(cfg.window_half(sig.fs)) + 1
+        grid = np.empty((200, width))
+        out = {"rows": {"stft": np.empty((201, width))},
+               "columns": {"stft": np.empty((200, width - 1))},
+               "float32": {"stft": np.empty((200, width), np.float32)},
+               "not kept": {"stft": grid, "sst": np.empty((200, width))},
+               "shared": {"stft": grid, "dssst": grid[::-1]}}[case]
+        with pytest.raises(StructuralError, match="out"):
+            kernel(sig, cfg, kinds=("stft", "dssst"), out=out)
 
     def test_one_mask_per_block(self, monkeypatch):
         sig = walk_signal()
