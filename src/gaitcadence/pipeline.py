@@ -1,17 +1,18 @@
 """End-to-end orchestration: preprocessing, dsSST, ridge, exports.
 
 ``run_pipeline`` and the ``tfr`` command load a recording through
-``load_recording`` and turn a time range into samples through
-``slice_record``'s index and clipping rule. Each bout is analyzed on its
-own slice of samples, so one bout's data can never influence another bout's
-outputs. The transform chain itself is ``tfr.dsst``, which returns only
-what the run reads: the squeezed magnitudes in the search band, plus any
-requested full grids.
+``load_recording``. They and ``analyze_bout`` turn a time range into a
+bout's signal one way: ``_sample_range`` finds its samples, and
+``_bout_signal`` checks, detrends and rectifies their vector magnitude.
+Each bout is analyzed on its own slice of samples, so one bout's data can
+never influence another bout's outputs. The transform chain itself is
+``tfr.dsst``, which returns only what the run reads: the squeezed
+magnitudes in the search band, plus any requested full grids.
 
 ``run_pipeline`` holds one magnitude signal and one grid buffer per kind.
 Each bout reads only the vector magnitude of its samples, so the run
-computes the whole recording's magnitude once, notes its overflowing
-samples, and lets the three axes go before the first bout. Each exported
+computes the whole recording's magnitude once, notes its infinite samples,
+and lets the three axes go before the first bout. Each exported
 grid kind gets one ``(n_max, M + 1)`` buffer, ``n_max`` the largest frame
 count of any bout, and each bout's kernel fills its first rows in place.
 The run also owns each bout's ``band_mag``: nothing reads it after the
@@ -40,8 +41,7 @@ from .io import (check_bout_spans, check_tfr_format, export_tfr,
 from .ridge import (CadenceTrace, RidgeCurve, band_to_bins, cadence_from_ridge,
                     check_band, ridge_dp)
 from .signal import Signal, TriaxialRecord, gaussian_window, \
-    magnitude_samples, median_detrend, overflow_error, rectify, \
-    vector_magnitude
+    magnitude_samples, median_detrend, overflow_message, rectify
 from .tfr import GRID_KINDS, TFRGrid, dsst
 
 logger = logging.getLogger(__name__)
@@ -66,16 +66,6 @@ def _check_kinds(kinds):
     if unknown:
         raise ParameterError(
             f"unknown grid kinds {sorted(unknown)}; expected {GRID_KINDS}")
-
-
-def detrend_rectify(mag: Signal) -> Signal:
-    """Running-median detrend, then rectification, of a magnitude signal."""
-    return rectify(median_detrend(mag))
-
-
-def preprocess(rec: TriaxialRecord, t0: float = 0.0) -> Signal:
-    """Vector magnitude, running-median detrend, rectification."""
-    return detrend_rectify(Signal(vector_magnitude(rec).samples, rec.fs, t0))
 
 
 def analyze_signal(sig: Signal, cfg: PipelineConfig, collect=(),
@@ -177,8 +167,10 @@ def load_recording(cfg: PipelineConfig, path) -> TriaxialRecord:
 def _sample_range(n: int, fs: float, start_s=None,
                   end_s=None) -> tuple[int, int, str]:
     """Samples ``lo:hi`` of an ``n``-sample recording at ``fs`` Hz that lie
-    from ``start_s`` to ``end_s`` seconds, with ``slice_record``'s rules,
-    and its note."""
+    from ``start_s`` to ``end_s`` seconds (``None``: the recording's start or
+    end), and a note if the range ran past the recording and was clipped to
+    it, else ``""``. A range holding no sample raises ``DataFormatError``
+    and a non-finite bound ``ParameterError``."""
     for name, bound in (("start", start_s), ("end", end_s)):
         if bound is not None and not np.isfinite(bound):
             raise ParameterError(f"{name} time must be finite, got {bound}")
@@ -196,22 +188,6 @@ def _sample_range(n: int, fs: float, start_s=None,
     return lo, hi, note
 
 
-def slice_record(rec: TriaxialRecord, start_s=None,
-                 end_s=None) -> tuple[TriaxialRecord, float, str]:
-    """Samples of ``rec`` from ``start_s`` to ``end_s`` seconds.
-
-    ``None`` stands for the start or end of the recording, and a range that
-    runs past the recording is clipped to it. Returns the slice, the time of
-    its first sample and a note saying that the range was clipped, or
-    ``""``; a range holding no sample raises ``DataFormatError`` and a
-    non-finite bound ``ParameterError``.
-    """
-    lo, hi, note = _sample_range(len(rec), rec.fs, start_s, end_s)
-    sliced = TriaxialRecord(x=rec.x[lo:hi], y=rec.y[lo:hi], z=rec.z[lo:hi],
-                            fs=rec.fs, location=rec.location)
-    return sliced, lo / rec.fs, note
-
-
 def _n_frames(n_samples: int, hop: int) -> int:
     """Frames of an ``n_samples`` slice at ``hop``: ``ceil(n_samples / hop)``,
     as ``tfr._frames`` makes them."""
@@ -220,12 +196,24 @@ def _n_frames(n_samples: int, hop: int) -> int:
 
 def _recording_magnitude(rec: TriaxialRecord):
     """The vector magnitude of every sample of ``rec``, the indices of the
-    samples where it overflows float64 and their axis values, one row per
-    sample. The loader rejects non-finite values, so every infinite
-    magnitude is an overflow."""
+    samples where it is infinite and their axis values, one row per
+    sample."""
     mag = magnitude_samples(rec)
-    over = np.flatnonzero(np.isinf(mag))
-    return mag, over, np.column_stack([rec.x[over], rec.y[over], rec.z[over]])
+    inf = np.flatnonzero(np.isinf(mag))
+    return mag, inf, np.column_stack([rec.x[inf], rec.y[inf], rec.z[inf]])
+
+
+def _bout_signal(magnitude, lo: int, hi: int, fs: float, t0: float) -> Signal:
+    """The detrended, rectified samples ``lo:hi`` of a recording's
+    ``_recording_magnitude``, at ``fs`` Hz from ``t0`` seconds. If the
+    range's first infinite magnitude has finite axes, it overflows float64:
+    ``DataFormatError`` names that sample, counted from ``lo``. An infinite
+    axis, which the loader rejects, fails ``Signal``'s check."""
+    mag, inf, inf_axes = magnitude
+    k = np.searchsorted(inf, lo)
+    if k < inf.size and inf[k] < hi and np.isfinite(inf_axes[k]).all():
+        raise DataFormatError(overflow_message(inf[k] - lo, *inf_axes[k]))
+    return rectify(median_detrend(Signal(mag[lo:hi], fs, t0)))
 
 
 def _analyze_slice(sig: Signal, cfg: PipelineConfig, collect,
@@ -246,13 +234,17 @@ def _analyze_slice(sig: Signal, cfg: PipelineConfig, collect,
 
 def analyze_bout(rec: TriaxialRecord, bout: BoutInterval, cfg: PipelineConfig,
                  collect=()):
-    """Preprocess and analyze one bout's slice.
+    """Preprocess and analyze one bout's slice of ``rec``.
 
     Returns ``(analysis, ridge, trace)``; a degenerate ridge is flagged on
     the curve rather than raised, so the caller decides how to report it.
+    Only the slice's vector magnitude is computed.
     """
-    sliced, t0, _ = slice_record(rec, bout.start_s, bout.end_s)
-    return _analyze_slice(preprocess(sliced, t0=t0), cfg, collect)
+    lo, hi, _ = _sample_range(len(rec), rec.fs, bout.start_s, bout.end_s)
+    part = TriaxialRecord(rec.x[lo:hi], rec.y[lo:hi], rec.z[lo:hi], rec.fs)
+    sig = _bout_signal(_recording_magnitude(part), 0, hi - lo, rec.fs,
+                       lo / rec.fs)
+    return _analyze_slice(sig, cfg, collect)
 
 
 def run_pipeline(cfg: PipelineConfig, input_csv, labels_csv, outdir,
@@ -275,7 +267,7 @@ def run_pipeline(cfg: PipelineConfig, input_csv, labels_csv, outdir,
     rec = load_recording(cfg, input_csv)
     bouts = load_labels_csv(labels_csv)
     fs, M = rec.fs, cfg.fft_half(cfg.window_half(rec.fs))
-    mag, over, over_axes = _recording_magnitude(rec)
+    n_samples, magnitude = len(rec), _recording_magnitude(rec)
     del rec  # each bout reads only the magnitude
 
     # One buffer per exported kind, for the bout with the most frames; a
@@ -283,7 +275,7 @@ def run_pipeline(cfg: PipelineConfig, input_csv, labels_csv, outdir,
     n_max = 0
     for bout in bouts:
         try:
-            lo, hi, _ = _sample_range(mag.size, fs, bout.start_s, bout.end_s)
+            lo, hi, _ = _sample_range(n_samples, fs, bout.start_s, bout.end_s)
         except CadenceError:
             continue
         n_max = max(n_max, _n_frames(hi - lo, cfg.hop))
@@ -298,7 +290,7 @@ def run_pipeline(cfg: PipelineConfig, input_csv, labels_csv, outdir,
         t_bout = time.perf_counter()
         status, message, n_frames, mean_hz = "ok", "", 0, None
         try:
-            lo, hi, note = _sample_range(mag.size, fs, bout.start_s,
+            lo, hi, note = _sample_range(n_samples, fs, bout.start_s,
                                          bout.end_s)
             t0 = lo / fs
             analyzed = BoutInterval(t0, t0 + (hi - lo) / fs, bout.label)
@@ -307,13 +299,10 @@ def run_pipeline(cfg: PipelineConfig, input_csv, labels_csv, outdir,
             for msg in notes:  # recorded before the analysis, which may fail
                 logger.warning("%s", msg)
                 warnings.append(msg)
-            k = np.searchsorted(over, lo)  # the bout's first overflow, if any
-            if k < over.size and over[k] < hi:
-                raise overflow_error(over[k] - lo, *over_axes[k])
             n = _n_frames(hi - lo, cfg.hop)
             analysis, ridge, trace = _analyze_slice(
-                detrend_rectify(Signal(mag[lo:hi], fs, t0)), cfg,
-                export_kinds, consume_band=True,
+                _bout_signal(magnitude, lo, hi, fs, t0), cfg, export_kinds,
+                consume_band=True,
                 out={kind: buf[:n] for kind, buf in buffers.items()})
             if ridge.degenerate:
                 raise DataFormatError(
@@ -336,7 +325,7 @@ def run_pipeline(cfg: PipelineConfig, input_csv, labels_csv, outdir,
             mean_cadence_hz=mean_hz, elapsed_s=time.perf_counter() - t_bout,
         ))
     # The last bout's grids are views of the buffers: all go now.
-    analysis = buffers = mag = None
+    analysis = buffers = magnitude = None
 
     if traces:
         # The bouts are sorted and disjoint, so the traces are in time order.

@@ -113,12 +113,11 @@ def magnitude_samples(rec: TriaxialRecord) -> np.ndarray:
         return np.sqrt(rec.x**2 + rec.y**2 + rec.z**2)
 
 
-def overflow_error(k: int, x, y, z) -> ParameterError:
-    """The error naming sample ``k``, whose finite axes ``x, y, z`` have a
+def overflow_message(k: int, x, y, z) -> str:
+    """The text naming sample ``k``, whose finite axes ``x, y, z`` have a
     vector magnitude that overflows float64."""
-    return ParameterError(
-        f"sample {k}: the vector magnitude of the finite axes "
-        f"({x}, {y}, {z}) overflows float64")
+    return (f"sample {k}: the vector magnitude of the finite axes "
+            f"({x}, {y}, {z}) overflows float64")
 
 
 def vector_magnitude(rec: TriaxialRecord) -> Signal:
@@ -132,7 +131,7 @@ def vector_magnitude(rec: TriaxialRecord) -> Signal:
     inf = np.flatnonzero(np.isinf(mag))
     if inf.size and all(np.isfinite(a[inf[0]]) for a in (rec.x, rec.y, rec.z)):
         k = inf[0]
-        raise overflow_error(k, rec.x[k], rec.y[k], rec.z[k])
+        raise ParameterError(overflow_message(k, rec.x[k], rec.y[k], rec.z[k]))
     return Signal(mag, rec.fs)
 
 

@@ -205,6 +205,30 @@ class TestRun:
         assert re.fullmatch(r"sample 0: the vector magnitude .* overflows float64",
                             bout["message"])
 
+    def test_overflowing_magnitude_fails_tfr_as_it_fails_run(
+            self, synth_files, tmp_path, capsys):
+        # Sample 1000 is sample 900 of the 2-26 s range.
+        _, csv_path, labels_path, _ = synth_files
+        lines = csv_path.read_text().splitlines()
+        t, _, y, z = lines[1001].split(",")
+        lines[1001] = ",".join([t, "1.5e160", y, z])
+        bad_csv = tmp_path / "huge.csv"
+        bad_csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        code = main(["run", str(bad_csv), str(labels_path), "-o", str(out),
+                     "--hop", "10"] + FAST_FLAGS)
+        assert code == 2
+        [bout] = json.loads((out / "report.json").read_text())["bouts"]
+        assert bout["message"].startswith("sample 900: ")
+        capsys.readouterr()
+        grid = tmp_path / "x.f64le"
+        code = main(["tfr", str(bad_csv), "-o", str(grid), "--start", "2",
+                     "--end", "26", "--hop", "10"] + FAST_FLAGS)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"data error: {bout['message']}" in err.splitlines()
+        assert not grid.exists()
+
     @pytest.mark.parametrize("row", ["2,inf,1", "-inf,5,1"])
     def test_non_finite_label_bound_is_data_error(self, synth_files, tmp_path,
                                                   row):
@@ -368,12 +392,37 @@ class TestTfrCommand:
             assert warned == ([f"[2.0, {end}.0] runs past the 28 s recording; "
                                "clipped to it"] if clipped else [])
 
+    @pytest.mark.parametrize("start, end", [("2", "26"), ("10", "40")])
+    @pytest.mark.parametrize("kind", ["stft", "dssst"])
+    def test_same_bytes_as_run_export(self, synth_files, tmp_path, caplog,
+                                      kind, start, end):
+        # The recording is 28 s long: 10-40 s is clipped to 10-28 s.
+        _, csv_path, _, _ = synth_files
+        labels = tmp_path / "labels.csv"
+        labels.write_text(f"start_s,end_s,label\n{start},{end},1\n")
+        grid = tmp_path / "tfr.f64le"
+        with caplog.at_level(logging.WARNING):
+            assert main(["run", str(csv_path), str(labels),
+                         "-o", str(tmp_path / "run"), "--export-tfr", kind,
+                         "--export-format", "f64le", "--hop", "10"]
+                        + FAST_FLAGS) == 0
+            assert main(["tfr", str(csv_path), "-o", str(grid), "--kind", kind,
+                         "--format", "f64le", "--start", start, "--end", end,
+                         "--hop", "10"] + FAST_FLAGS) == 0
+        exported = tmp_path / "run" / f"tfr_bout01_{kind}.f64le"
+        assert grid.read_bytes() == exported.read_bytes()
+        note = (f"[{float(start)}, {float(end)}] runs past the 28 s "
+                "recording; clipped to it")
+        warned = [r.getMessage() for r in caplog.records
+                  if "clipped" in r.getMessage()]
+        assert warned == ([f"bout 1 {note}", note] if end == "40" else [])
+
     def test_band_above_nyquist_fails_before_preprocess(self, synth_files,
                                                         tmp_path, monkeypatch):
         # The recording is sampled at 50 Hz: Nyquist is 25 Hz.
         _, csv_path, _, _ = synth_files
         calls = []
-        monkeypatch.setattr("gaitcadence.cli.preprocess",
+        monkeypatch.setattr("gaitcadence.cli._bout_signal",
                             lambda *a, **k: calls.append(a))
         out = tmp_path / "x.csv"
         code = main(["tfr", str(csv_path), "-o", str(out),

@@ -16,10 +16,11 @@ from gaitcadence.io import (export_tfr, load_labels_csv, load_trace_csv,
                             load_triaxial_csv, write_labels_csv,
                             write_summary_csv, write_trace_csv,
                             write_triaxial_csv)
-from gaitcadence.pipeline import (analysis_grid, analyze_bout, analyze_signal,
-                                  preprocess, run_pipeline, slice_record)
+from gaitcadence.pipeline import (_sample_range, analysis_grid, analyze_bout,
+                                  analyze_signal, run_pipeline)
 from gaitcadence.ridge import CadenceTrace
-from gaitcadence.signal import vector_magnitude
+from gaitcadence.signal import (Signal, TriaxialRecord, median_detrend,
+                                rectify, vector_magnitude)
 from gaitcadence.synth import ConstantProfile
 
 from conftest import as_record, make_walk
@@ -88,10 +89,25 @@ class TestAnalyzeBout:
         cfg = fast_config(hop=5)
         bout = BoutInterval(2.0, 26.0, 1)
         analysis, ridge, _ = analyze_bout(rec, bout, cfg)
-        sliced, t0, _ = slice_record(rec, bout.start_s, bout.end_s)
-        direct = analyze_signal(preprocess(sliced, t0=t0), cfg)
+        mag = vector_magnitude(rec).samples[100:1300]  # 2-26 s at 50 Hz
+        direct = analyze_signal(
+            rectify(median_detrend(Signal(mag, rec.fs, 2.0))), cfg)
         assert not ridge.degenerate
         assert analysis.band_mag.tobytes() == direct.band_mag.tobytes()
+
+    @pytest.mark.parametrize("x, error, message", [
+        (1.5e160, DataFormatError, "sample 900: the vector magnitude of the "
+         r"finite axes \(1.5e\+160, 0.0, 0.0\) overflows float64"),
+        (np.inf, ParameterError, "sample 900 is not finite: inf")],
+        ids=["overflow", "infinite-axis"])
+    def test_bad_sample_named_from_bout_start(self, x, error, message):
+        # Sample 1000 is sample 900 of the 2-26 s bout; as the run does, an
+        # overflowing magnitude is a data error.
+        _, res = make_walk(duration_s=28.0, bout=(2.0, 26.0), fs=50.0, seed=5)
+        rec = as_record(res)
+        rec.x[1000] = x
+        with pytest.raises(error, match=f"^{message}$"):
+            analyze_bout(rec, BoutInterval(2.0, 26.0, 1), fast_config(hop=5))
 
     def test_zero_hop_rejected_without_validation(self):
         _, res = make_walk(duration_s=28.0, bout=(2.0, 26.0), fs=50.0, seed=5)
@@ -117,14 +133,15 @@ class TestAnalyzeBout:
 
 
 class TestSliceRecord:
+    """A time range's samples, as ``_sample_range`` finds them."""
+
     @pytest.mark.parametrize("start_s, end_s", [
         (float("nan"), None), (float("inf"), None), (None, float("-inf")),
         (2.0, float("nan")),
     ])
     def test_non_finite_bound_rejected(self, start_s, end_s):
-        _, res = make_walk(duration_s=28.0, bout=(2.0, 26.0), fs=50.0, seed=5)
         with pytest.raises(ParameterError, match="must be finite"):
-            slice_record(as_record(res), start_s, end_s)
+            _sample_range(1400, 50.0, start_s, end_s)
 
 
 class TestRunPipeline:
@@ -479,9 +496,10 @@ class TestRunBuffers:
         csv_path, labels = three_bouts
         bad = with_sample(csv_path, tmp_path, 1000, "1.5e160")
         rec = load_triaxial_csv(bad)
-        sliced, _, _ = slice_record(rec, 15.0, 40.0)
+        bout = TriaxialRecord(x=rec.x[750:2000], y=rec.y[750:2000],
+                              z=rec.z[750:2000], fs=rec.fs)
         with pytest.raises(ParameterError) as want:
-            vector_magnitude(sliced)
+            vector_magnitude(bout)
         report = run_pipeline(fast_config(hop=10), bad, labels,
                               tmp_path / "out", export_kinds=("dssst",))
         assert [(b.status, b.message) for b in report.bouts] == [
