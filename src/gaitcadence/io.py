@@ -220,14 +220,29 @@ def write_trace_csv(path, trace: CadenceTrace, labels: np.ndarray):
 
 
 def load_trace_csv(path) -> tuple[CadenceTrace, np.ndarray]:
-    """Read back a cadence trace CSV; returns the trace and its labels."""
+    """Read back a cadence trace CSV; returns the trace and its labels.
+
+    Every value must be finite and the times strictly increasing; the
+    first row that breaks either raises ``DataFormatError`` naming
+    ``path:line``.
+    """
     path = Path(path)
-    _, _, values = _read_rows(
+    _, linenos, values = _read_rows(
         path, (["time_s", "if_hz", "cadence_hz", "bout_label"],),
         lambda row: (float(row[0]), float(row[1]), float(row[2]), int(row[3])))
     if not values:
         raise DataFormatError(f"{path}: no data rows")
     times, if_hz, cadence, labels = (np.asarray(col) for col in zip(*values))
+    finite = np.isfinite(times) & np.isfinite(if_hz) & np.isfinite(cadence)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DataFormatError(
+            f"{path}:{linenos[i]}: non-finite value in {values[i]!r}")
+    if np.any(np.diff(times) <= 0):
+        i = int(np.argmax(np.diff(times) <= 0)) + 1
+        raise DataFormatError(
+            f"{path}:{linenos[i]}: time {values[i][0]!r} does not follow "
+            f"{values[i - 1][0]!r}; trace times must be strictly increasing")
     dts = np.diff(times)
     frame_dt = float(np.median(dts)) if dts.size else 1.0
     trace = CadenceTrace(times=times, if_hz=if_hz, cadence_hz=cadence,

@@ -15,15 +15,13 @@ extension of each row of ``|V|^gamma`` (a type-I DCT of the row).
 
 The de-shape synchrosqueezing chain lives here once: ``dsst`` runs
 STFT pair -> cepstral mask -> de-shaped STFT -> reassignment -> squeeze over
-blocks of frames, and the pipeline calls it. A call that keeps no grid
-takes the band routine: one workspace per worker thread and call, and
-``V'/V`` only at the cells that can reach the search band
-(``_candidate_bounds``). A call that keeps any grid takes the full-width
-routine, which allocates each block's stage arrays and squeezes every
-column. The full-grid stages (``stft``, ``stct``, ``istct``, ``deshape``,
-``reassignment_operator``, ``synchrosqueeze``) apply the kernel's own row
-helpers to a whole grid; the independent references are ``scipy.fft`` and
-the direct-sum STFT oracle.
+blocks of frames, and the pipeline calls it. Every block runs one routine
+in its worker thread's workspace, and divides ``V'/V`` only at the cells
+that can reach the search band (``_candidate_bounds``), unless a kept sst
+or dssst grid needs every column squeezed. The full-grid stages (``stft``,
+``stct``, ``istct``, ``deshape``, ``reassignment_operator``,
+``synchrosqueeze``) apply the kernel's own row helpers to a whole grid; the
+independent references are ``scipy.fft`` and the direct-sum STFT oracle.
 """
 
 from __future__ import annotations
@@ -49,14 +47,14 @@ KIND_DSSST = "dssst"
 GRID_KINDS = (KIND_STFT, KIND_STCT, KIND_ISTCT, KIND_DSSTFT, KIND_SST, KIND_DSSST)
 
 # Most frames per block. On one worker at M = 4096, the kernel's memory
-# beyond its outputs peaks at 1.9 MB under tracemalloc with the band
-# routine's workspace, 2.3 MB with the full-width routine (5.6 and 7.0 MB
-# with 16-frame blocks and every stage array held to the block's end).
+# beyond its outputs peaks at 1.9 MB under tracemalloc, 2.2 MB with the
+# dssst grid kept (5.6 and 7.0 MB with 16-frame blocks and every stage
+# array held to the block's end).
 _CHUNK_FRAMES = 8
 # Most worker threads, the calling one included, hence most blocks computed
-# at once. Each worker holds its own workspace or stage arrays, so the
-# kernel's memory beyond its outputs grows linearly with this cap: 3.5 MB
-# for two workers at M = 4096, 4.4 MB with the full-width routine.
+# at once. Each worker holds its own workspace, so the kernel's memory
+# beyond its outputs grows linearly with this cap: 3.5 MB for two workers
+# at M = 4096, 4.2 MB with the dssst grid kept.
 _MAX_IN_FLIGHT = 2
 
 
@@ -288,16 +286,17 @@ def _omega_scale(fft_half: int, window_half: int) -> float:
 
 
 def _omega_rows(v_rows: np.ndarray, vd_rows: np.ndarray, vmag: np.ndarray,
-                upsilon: float, window_half: int, fft_half: int) -> np.ndarray:
-    """Reassignment rule of one block; ``vmag`` is ``|v_rows|``.
+                upsilon: float, scale: float, out=None) -> np.ndarray:
+    """Reassignment rule of one block, written into ``out`` when given;
+    ``vmag`` is ``|v_rows|`` and ``scale`` is ``_omega_scale``'s.
 
     ``V'/V`` is divided in place into ``vd_rows`` where ``vmag`` exceeds
     ``upsilon``; the other cells keep ``V'`` and their rule is ``-inf``.
     """
     mask = vmag > upsilon
     ratio = np.divide(vd_rows, v_rows, out=vd_rows, where=mask)
-    cols = np.arange(v_rows.shape[1], dtype=np.float64)
-    omega = cols[None, :] - ratio.imag * _omega_scale(fft_half, window_half)
+    omega = np.multiply(ratio.imag, scale, out=out)
+    np.subtract(np.arange(v_rows.shape[1], dtype=np.float64), omega, out=omega)
     omega[~mask] = -np.inf
     return omega
 
@@ -317,22 +316,23 @@ def reassignment_operator(v: TFRGrid, vd: TFRGrid, upsilon: float,
         )
     if not upsilon > 0:
         raise ParameterError(f"upsilon must be positive, got {upsilon}")
-    omega = _omega_rows(v.values, vd.values.astype(np.complex128),
-                        np.abs(v.values), upsilon, window_half, v.fft_half)
+    omega = _omega_rows(v.values, vd.values.astype(np.complex128), np.abs(v.values),
+                        upsilon, _omega_scale(v.fft_half, window_half))
     return OmegaMatrix(omega)
 
 
-def _scatter(flat: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+def _scatter(flat: np.ndarray, weights: np.ndarray, size: int,
+             pairs=None) -> np.ndarray:
     """``size`` bins, bin ``j`` the sum of the ``weights`` whose ``flat``
     index is ``j``, added in cell order; index ``size`` is a dump bin.
 
     ``np.bincount`` does the sums. For complex weights it makes one pass
     over the interleaved parts: bin ``2j`` sums the real parts of bin ``j``'s
-    cells and bin ``2j + 1`` their imaginary parts.
+    cells and bin ``2j + 1`` their imaginary parts, indexed by ``pairs``.
     """
     if not np.iscomplexobj(weights):
         return np.bincount(flat, weights=weights, minlength=size + 1)[:size]
-    pairs = np.empty((flat.size, 2), dtype=np.int64)
+    pairs = np.empty((flat.size, 2), np.int64) if pairs is None else pairs
     np.multiply(flat, 2, out=pairs[:, 0])
     del flat  # the caller may hold no other reference
     np.add(pairs[:, 0], 1, out=pairs[:, 1])
@@ -340,29 +340,34 @@ def _scatter(flat: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
                        minlength=2 * size + 2).view(np.complex128)[:size]
 
 
-def _flat_targets(omega_rows: np.ndarray) -> np.ndarray:
+def _flat_targets(omega_rows: np.ndarray, out=None) -> np.ndarray:
     """Each cell's rounded target as a row-major flat index into its rows;
-    ``-inf``, NaN and off-grid targets go to the dump bin past the end."""
+    ``-inf``, NaN and off-grid targets go to the dump bin past the end. The
+    indices go into ``out``, int64 of ``omega_rows``' shape, when given."""
     n_rows, n_cols = omega_rows.shape
     size = n_rows * n_cols
-    targets = np.rint(omega_rows)
+    flat = (np.empty(size, np.int64) if out is None else out).reshape(-1)
+    targets = np.rint(omega_rows, out=flat.view(np.float64).reshape(n_rows, n_cols))
     keep = (targets >= 0) & (targets < n_cols)  # false at -inf and nan
     targets += np.arange(0, size, n_cols, dtype=np.float64)[:, None]
     targets[~keep] = size
     del keep
-    return targets.astype(np.int64).ravel()
+    flat[:] = targets.reshape(-1)  # in place: 1-D, so numpy copies nothing
+    return flat
 
 
-def _squeeze_rows(src_rows: np.ndarray, omega_rows: np.ndarray) -> np.ndarray:
+def _squeeze_rows(src_rows: np.ndarray, omega_rows: np.ndarray,
+                  targets=None, pairs=None) -> np.ndarray:
     """Every column of the squeezed rows: each cell of ``src`` is added, as
-    it is, to its rounded target column.
+    it is, to its rounded target column (``targets``: ``_flat_targets``'
+    ``out``; ``pairs``: ``_scatter``'s).
 
     This is a block's memory peak, and two blocks reach it at about the same
     time, so the cell-sized temporaries are updated in place and dropped
     once used.
     """
-    return _scatter(_flat_targets(omega_rows), src_rows.ravel(),
-                    omega_rows.size).reshape(omega_rows.shape)
+    return _scatter(_flat_targets(omega_rows, targets), src_rows.ravel(),
+                    omega_rows.size, pairs).reshape(omega_rows.shape)
 
 
 def synchrosqueeze(src: TFRGrid, omega: OmegaMatrix) -> TFRGrid:
@@ -380,34 +385,6 @@ def synchrosqueeze(src: TFRGrid, omega: OmegaMatrix) -> TFRGrid:
     kind = KIND_DSSST if src.kind == KIND_DSSTFT else KIND_SST
     return TFRGrid(out, fs=src.fs, fft_half=src.fft_half, hop=src.hop,
                    kind=kind, t0=src.t0)
-
-
-def _dsst_rows(frames: np.ndarray, w: Window, fft_half: int, gamma: float,
-               upsilon: float, band, table, band_rows: np.ndarray,
-               out: dict) -> None:
-    """The full-width routine: fill one block's rows of ``band_mag``
-    (``band_rows``) and of each kept grid (``out``: kind -> rows) from its
-    analysis ``frames``; ``table`` is the call's ``_istct_interp_table``.
-
-    Each stage runs once, on one core: the kernel computes blocks side by
-    side instead. ``V'`` is computed after the cepstrum has freed its
-    buffers, and each stage array is dropped after its last reader. The
-    band is sliced out of the block's full dssst squeeze.
-    """
-    v = _stft_rows(frames, w.h, fft_half)
-    vmag = np.abs(v, out=out.get(KIND_STFT))
-    ceps = _stct_rows(vmag, gamma, out=out.get(KIND_STCT))
-    vd = _stft_rows(frames, w.dh, fft_half)  # after the cepstrum's buffers
-    omega = _omega_rows(v, vd, vmag, upsilon, w.K, fft_half)
-    del vd, vmag
-    if KIND_SST in out:
-        np.abs(_squeeze_rows(v, omega), out=out[KIND_SST])
-    ds = v * _istct_rows(ceps, table, out=out.get(KIND_ISTCT))
-    del v, ceps
-    if KIND_DSSTFT in out:
-        np.abs(ds, out=out[KIND_DSSTFT])
-    dssst = np.abs(_squeeze_rows(ds, omega), out=out.get(KIND_DSSST))
-    band_rows[:] = dssst[:, band[0] : band[1] + 1]
 
 
 # Relative margin of the candidate bound (``_candidate_bounds``). It covers
@@ -433,14 +410,10 @@ def _candidate_bounds(band, n_cols: int, scale: float) -> np.ndarray:
 
 
 class _BandWorkspace:
-    """One worker's buffers for the band routine, allocated once per
-    ``dsst`` call and sized for ``rows`` frames: the tapered frames, ``V``,
-    ``V'``, ``|V|``, the candidate mask, and ``|V'|`` and ``|V| * thr`` of
-    one row.
-
-    Once ``V`` and ``V'`` are gathered at the candidate cells, ``V'``'s
-    buffer holds the contiguous even extension of ``|V|^gamma``, ``V``'s
-    buffer its spectrum, and ``|V|``'s buffer the cepstrum.
+    """One worker's buffers, allocated once per ``dsst`` call and sized for
+    ``rows`` frames: the tapered frames, ``V``, ``V'``, ``|V|``, the
+    candidate mask, and ``|V'|`` and ``|V| * thr`` of one row. Each buffer
+    takes later stages once its own is dead (``_pair_rows``).
     """
 
     def __init__(self, rows: int, span: int, fft_half: int):
@@ -452,30 +425,24 @@ class _BandWorkspace:
         self.cand = np.empty((rows, width), dtype=bool)
         self.row_mags = np.empty((2, width))
 
-    def vd_floats(self, n: int, cols: int) -> np.ndarray:
-        """``(n, cols)`` contiguous floats over the start of ``V'``'s buffer."""
-        return self.vd.view(np.float64).reshape(-1)[: n * cols].reshape(n, cols)
+
+def _scratch(buf: np.ndarray, dtype, rows: int, cols: int) -> np.ndarray:
+    """``(rows, cols)`` contiguous ``dtype`` items over the start of ``buf``."""
+    return buf.view(dtype).reshape(-1)[: rows * cols].reshape(rows, cols)
 
 
-def _band_squeeze(v: np.ndarray, vd: np.ndarray, gamma: float,
-                  upsilon: float, band, scale: float, table, thr: np.ndarray,
-                  ws: _BandWorkspace) -> np.ndarray:
-    """The band columns of one block's de-shaped squeeze, from its STFT
-    pair: ``v`` and ``vd`` are the first rows of ``ws.v`` and ``ws.vd``,
-    and both are overwritten.
-
-    ``V'/V``, the target and the band test are computed only at the
-    candidate cells, ``|V'| >= |V| * thr[c]`` (``_candidate_bounds``) and
-    ``|V| > upsilon``, in row-major order. Every cell whose target lands in
-    the band is a candidate, so each band column sums the same cells in the
-    same order as a squeeze of the whole grid, and the mask is evaluated at
-    the selected cells only.
-    """
+def _band_cells(v: np.ndarray, vd: np.ndarray, vmag: np.ndarray,
+                upsilon: float, band, scale: float, thr: np.ndarray,
+                ws: _BandWorkspace):
+    """The cells of one block whose rounded target lands in ``band``: their
+    row-major flat indices, their ``V`` and their flat indices into the
+    band's rows. ``V'/V`` and the target are computed only at the candidate
+    cells, ``|V'| >= |V| * thr[c]`` (``_candidate_bounds``) and ``|V| >
+    upsilon``, in row-major order, so each band column sums the same cells
+    in the same order as a squeeze of the whole grid."""
     n, n_cols = v.shape
     lo, hi = band
-    width = hi - lo + 1
     vd_mag, bound = ws.row_mags
-    vmag = np.abs(v, out=ws.vmag[:n])
     cand = ws.cand[:n]
     for row in range(n):  # a row at a time: no block-sized |V'|
         np.abs(vd[row], out=vd_mag)
@@ -490,26 +457,69 @@ def _band_squeeze(v: np.ndarray, vd: np.ndarray, gamma: float,
     del quotient
     inside = (targets >= lo) & (targets <= hi)
     cells, weights = cells[inside], weights[inside]
-    flat = cells // n_cols * width + (targets[inside].astype(np.int64) - lo)
-    del targets
-    # V and V' are gathered, so their buffers take the cepstrum's stages.
+    flat = cells // n_cols * (hi - lo + 1) + (targets[inside].astype(np.int64) - lo)
+    return cells, weights, flat
+
+
+def _pair_rows(v: np.ndarray, vd: np.ndarray, gamma: float, upsilon: float,
+               band, scale: float, table, thr: np.ndarray, grids: dict,
+               band_rows: np.ndarray, ws: _BandWorkspace) -> None:
+    """Fill one block's rows of ``band_mag`` (``band_rows``) and of each
+    kept grid (``grids``: kind -> rows) from its STFT pair, the first rows
+    of ``ws.v`` and ``ws.vd``.
+
+    Once ``V'/V`` is taken, ``V'``'s buffer holds the even extension of
+    ``|V|^gamma``, ``V``'s its spectrum unless ``V`` is read later, and
+    ``|V|``'s the cepstrum. A full squeeze's rule goes into the kept dssst,
+    else sst, rows, and its targets and index pairs into ``|V|``'s and
+    ``V'``'s buffers once the mask is taken.
+    """
+    n, width = v.shape
+    vmag = np.abs(v, out=ws.vmag[:n])
+    if KIND_STFT in grids:
+        grids[KIND_STFT][:] = vmag
+    rule = grids.get(KIND_DSSST, grids.get(KIND_SST))
+    if KIND_DSSST not in grids:
+        cells, weights, flat = _band_cells(v, vd, vmag, upsilon, band, scale,
+                                           thr, ws)
+    if rule is not None:
+        _omega_rows(v, vd, vmag, upsilon, scale, out=rule)
+    deshaped = KIND_DSSTFT in grids or KIND_DSSST in grids
     ceps = _stct_rows(vmag, gamma, out=vmag,
-                      extended=ws.vd_floats(n, 2 * (n_cols - 1)), spectrum=v)
-    weights *= _istct_cells(ceps, table, cells)
-    return _scatter(flat, weights, n * width).reshape(n, width)
+                      extended=_scratch(ws.vd, np.float64, n, 2 * width - 2),
+                      spectrum=None if deshaped or rule is not None else v)
+    if KIND_STCT in grids:
+        grids[KIND_STCT][:] = ceps
+    if KIND_DSSST not in grids:
+        weights *= _istct_cells(ceps, table, cells)
+    if deshaped or KIND_ISTCT in grids:
+        mask = _istct_rows(ceps, table, out=grids.get(KIND_ISTCT))
+    scratch = (_scratch(ws.vmag, np.int64, n, width),
+               _scratch(ws.vd, np.int64, n * width, 2))
+    if KIND_SST in grids:
+        np.abs(_squeeze_rows(v, rule, *scratch), out=grids[KIND_SST])
+    if deshaped:
+        ds = np.multiply(v, mask, out=v)
+        del mask
+        if KIND_DSSTFT in grids:
+            np.abs(ds, out=grids[KIND_DSSTFT])
+    if KIND_DSSST in grids:
+        dssst = np.abs(_squeeze_rows(ds, rule, *scratch), out=grids[KIND_DSSST])
+        band_rows[:] = dssst[:, band[0] : band[1] + 1]
+    else:
+        np.abs(_scatter(flat, weights, band_rows.size).reshape(band_rows.shape),
+               out=band_rows)
 
 
 def _band_rows(frames: np.ndarray, w: Window, fft_half: int, gamma: float,
                upsilon: float, band, scale: float, table, thr: np.ndarray,
-               band_rows: np.ndarray, ws: _BandWorkspace) -> None:
-    """The band routine: fill one block's rows of ``band_mag``
-    (``band_rows``) from its analysis ``frames``, every stage in the
-    worker's workspace ``ws``."""
+               grids: dict, band_rows: np.ndarray, ws: _BandWorkspace) -> None:
+    """The kernel routine: ``_pair_rows`` of one block's analysis
+    ``frames``, every stage in the worker's workspace ``ws``."""
     n = frames.shape[0]
     v = _stft_rows(frames, w.h, fft_half, ws.tapered[:n], ws.v[:n])
     vd = _stft_rows(frames, w.dh, fft_half, ws.tapered[:n], ws.vd[:n])
-    np.abs(_band_squeeze(v, vd, gamma, upsilon, band, scale, table, thr, ws),
-           out=band_rows)
+    _pair_rows(v, vd, gamma, upsilon, band, scale, table, thr, grids, band_rows, ws)
 
 
 def _pool_size() -> int:
@@ -553,22 +563,15 @@ def dsst(s: Signal, w: Window, fft_half: int, hop: int, gamma: float,
     blocks of near-equal size, at most ``_CHUNK_FRAMES`` frames each, so the
     memory beyond the outputs does not grow with the bout, and a bout shorter
     than two full blocks still gives each worker half of it.
-    Per block, each stage runs once: STFT ``V`` -> cepstrum of
-    ``|V|^gamma`` -> STFT ``V'`` -> reassignment rule from ``V'/V`` ->
-    ``W = V * mask`` squeezed, by one of two routines that give the same
-    bits. With no grid kept, the band routine (``_band_rows``) runs each
-    block in its worker's ``_BandWorkspace``, allocated once per call: the
-    tapered frames, ``V``, ``V'``, ``|V|``, the candidate mask and two
-    rows of magnitudes, about 1.5 MB per worker at ``M = 4096``. It divides
-    ``V'/V`` only at the cells with ``|V'| >= |V| * thr[c]`` and ``|V| >
-    upsilon``, where ``thr[c] = max(d(c) - 0.5, 0) / scale`` for a column
-    ``d(c)`` bins from the band, lowered by a relative margin of 1e-6 for
-    rounding (``_candidate_bounds``): no other cell's target can round into
-    the band. With a grid kept, the full-width
-    routine (``_dsst_rows``) allocates each block's stage arrays, builds at
-    most one mask, writes each kept grid's rows in place, drops each stage
-    array after its last reader, and slices the band out of its full
-    squeeze.
+    Per block, each stage runs once: STFT pair ``V``, ``V'`` -> reassignment
+    rule from ``V'/V`` -> cepstrum of ``|V|^gamma`` -> mask -> ``W = V *
+    mask`` squeezed, by ``_band_rows`` in its worker's ``_BandWorkspace``,
+    allocated once per call (about 1.5 MB at ``M = 4096``). Each kept grid's
+    rows are written from the workspace's stages before they are
+    overwritten. Only a kept sst or dssst grid squeezes every column; with
+    dssst kept the band is sliced from its rows, otherwise ``V'/V`` is
+    divided only at the cells whose target can round into the band
+    (``_candidate_bounds``).
 
     Blocks run on ``_pool_size()`` threads, one core each: the calling
     thread and ``_pool_size() - 1`` helpers, so one usable core starts no
@@ -608,20 +611,17 @@ def dsst(s: Signal, w: Window, fft_half: int, hop: int, gamma: float,
     take = threading.Lock()
 
     def worker():
-        ws = None if grids else _BandWorkspace(rows_max, w.span, fft_half)
+        ws = _BandWorkspace(rows_max, w.span, fft_half)
         while True:
             with take:
                 rows = next(blocks, None)
             if rows is None:
                 return
             try:
-                if ws is None:
-                    _dsst_rows(frames[rows], w, fft_half, gamma, upsilon,
-                               band, table, band_mag[rows],
-                               {kind: grid[rows] for kind, grid in grids.items()})
-                else:
-                    _band_rows(frames[rows], w, fft_half, gamma, upsilon,
-                               band, scale, table, thr, band_mag[rows], ws)
+                _band_rows(frames[rows], w, fft_half, gamma, upsilon, band,
+                           scale, table, thr,
+                           {kind: grid[rows] for kind, grid in grids.items()},
+                           band_mag[rows], ws)
             except BaseException:
                 with take:
                     for _ in blocks:  # no thread starts another block

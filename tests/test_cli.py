@@ -501,6 +501,19 @@ class TestCompare:
         code = main(["compare", str(tmp_path), str(tmp_path)])
         assert_data_error(code, capsys, tmp_path)
 
+    @pytest.mark.parametrize("rows, line", [
+        (["0,1,2,1", "0.1,1,nan,1", "0.2,1,2,1"], 3),
+        (["0,1,2,1", "0.1,1,inf,1", "0.2,1,2,1"], 3),
+        (["0,1,2,1", "0.2,1,2,1", "0.1,1,2,1"], 4),
+    ], ids=["nan", "inf", "out of order"])
+    def test_bad_trace_is_data_error(self, tmp_path, capsys, rows, line):
+        header = "time_s,if_hz,cadence_hz,bout_label\n"
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text(header + "0,1,2,1\n0.1,1,2,1\n0.2,1,2,1\n")
+        bad.write_text(header + "".join(row + "\n" for row in rows))
+        code = main(["compare", str(good), str(bad)])
+        assert_data_error(code, capsys, f"{bad}:{line}")
+
     def test_version_flag(self):
         assert main(["--version"]) == 0
 

@@ -212,6 +212,24 @@ class TestTraceCsv:
         with pytest.raises(DataFormatError):
             load_trace_csv(p)
 
+    @pytest.mark.parametrize("row", ["0.2,1,nan,1", "0.2,inf,2,1",
+                                     "nan,1,2,1", "0.2,1,-inf,1"])
+    def test_non_finite_value_names_its_line(self, tmp_path, row):
+        p = tmp_path / "trace.csv"
+        p.write_text("time_s,if_hz,cadence_hz,bout_label\n"
+                     f"0,1,2,1\n0.1,1,2,1\n{row}\n0.3,1,2,1\n")
+        with pytest.raises(DataFormatError, match=f"{p}:4: non-finite value"):
+            load_trace_csv(p)
+
+    @pytest.mark.parametrize("times", [(0.0, 0.2, 0.1), (0.0, 0.1, 0.1)])
+    def test_times_must_increase(self, tmp_path, times):
+        p = tmp_path / "trace.csv"
+        p.write_text("time_s,if_hz,cadence_hz,bout_label\n"
+                     + "".join(f"{t},1,2,1\n" for t in times))
+        with pytest.raises(DataFormatError,
+                           match=f"{p}:4: .*strictly increasing"):
+            load_trace_csv(p)
+
 
 class TestCsvText:
     """Tables carry the text of a per-value ``{:.12g}`` loop."""

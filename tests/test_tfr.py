@@ -471,21 +471,25 @@ def full_squeeze(v, vd, K, gamma=0.3):
     """The full-width squeeze of ``W = V * mask`` by the rule of ``V'/V``."""
     M = v.shape[1] - 1
     vmag = np.abs(v)
-    omega = tfr._omega_rows(v, vd.copy(), vmag, UPSILON, K, M)
+    omega = tfr._omega_rows(v, vd.copy(), vmag, UPSILON, tfr._omega_scale(M, K))
     mask = tfr._istct_rows(tfr._stct_rows(vmag, gamma), tfr._istct_interp_table(M))
     return tfr._squeeze_rows(v * mask, omega)
 
 
-def band_squeeze(v, vd, band, K, gamma=0.3):
-    """The band routine's columns ``band`` of the squeeze of ``(V, V')``."""
+def pair_rows(v, vd, band, K, kinds=(), gamma=0.3):
+    """The kernel routine's ``(band_mag, grids)`` from the STFT pair
+    ``(V, V')``, keeping the grids ``kinds``."""
     n_rows, width = v.shape
     M = width - 1
     ws = tfr._BandWorkspace(n_rows, 2 * K + 1, M)
     ws.v[:], ws.vd[:] = v, vd
     scale = tfr._omega_scale(M, K)
-    return tfr._band_squeeze(ws.v, ws.vd, gamma, UPSILON, band, scale,
-                             tfr._istct_interp_table(M),
-                             tfr._candidate_bounds(band, width, scale), ws)
+    grids = {kind: np.empty(v.shape) for kind in kinds}
+    band_mag = np.empty((n_rows, band[1] - band[0] + 1))
+    tfr._pair_rows(ws.v, ws.vd, gamma, UPSILON, band, scale,
+                   tfr._istct_interp_table(M),
+                   tfr._candidate_bounds(band, width, scale), grids, band_mag, ws)
+    return band_mag, grids
 
 
 class TestSqueezeForms:
@@ -494,7 +498,7 @@ class TestSqueezeForms:
     @staticmethod
     def tiled(v, vd, K=4):
         M = v.shape[1] - 1
-        return np.hstack([band_squeeze(v, vd, band, K)
+        return np.hstack([pair_rows(v, vd, band, K)[0]
                           for band in [(0, 5), (6, M - 1), (M, M)]])
 
     @pytest.mark.parametrize("seed", range(4))
@@ -503,10 +507,14 @@ class TestSqueezeForms:
         # Narrow bands: most of each band's cells come from other columns.
         v, vd = pair_block(seed, quiet)
         M = v.shape[1] - 1
-        full = full_squeeze(v, vd, K=4)
+        full = np.abs(full_squeeze(v, vd, K=4))
         assert full.shape == v.shape
         assert full.tobytes() == self.tiled(v, vd).tobytes()
         assert np.count_nonzero(full[:, 2:]) > M  # the mask is zero at bins 0, 1
+        # With dssst kept, the routine squeezes every column and slices the band.
+        band_mag, grids = pair_rows(v, vd, (6, M - 1), 4, kinds=("dssst",))
+        assert grids["dssst"].tobytes() == full.tobytes()
+        assert band_mag.tobytes() == np.ascontiguousarray(full[:, 6:M]).tobytes()
 
     def test_real_source(self):
         # Against a loop that adds each cell to its rounded target, in order.
@@ -530,8 +538,8 @@ class TestSqueezeForms:
         ceps = tfr._stct_rows(np.abs(v), 0.3)
         mask = tfr._istct_rows(ceps, tfr._istct_interp_table(16))
         full = tfr._squeeze_rows(v * mask, omega)
-        zeros = np.zeros(v.shape, np.complex128).tobytes()
-        assert full.tobytes() == zeros
+        assert full.tobytes() == np.zeros(v.shape, np.complex128).tobytes()
+        zeros = np.zeros(v.shape).tobytes()
         assert self.tiled(v, np.zeros_like(v)).tobytes() == zeros
 
 
@@ -833,10 +841,11 @@ class TestChunkedChain:
         band = np.ascontiguousarray(np.abs(chain["dssst"].values)[:, lo : hi + 1])
         assert kernel_dssst(sig, cfg, (lo, hi)).tobytes() == band.tobytes()
 
-    @pytest.mark.parametrize("kinds, workspaces", [((), 2), (("stft",), 0)])
+    @pytest.mark.parametrize("kinds, workspaces",
+                             [((), 2), (("stft",), 2), (GRID_KINDS, 2)])
     def test_one_workspace_per_worker(self, kinds, workspaces, monkeypatch):
         # 200 blocks on two workers: each worker allocates its buffers once,
-        # and a call that keeps a grid takes the full-width routine.
+        # whatever grids the call keeps.
         monkeypatch.setattr(tfr, "_pool_size", lambda: 2)
         owners = []
         workspace = tfr._BandWorkspace
@@ -851,6 +860,27 @@ class TestChunkedChain:
         assert len(owners) == len(set(owners)) == workspaces
         band = np.abs(full_grid_chain(sig, cfg)["dssst"].values)[:, 20:61]
         assert band_mag.tobytes() == np.ascontiguousarray(band).tobytes()
+
+    @pytest.mark.parametrize("kinds", [
+        ("stft",), ("stft", "stct", "istct-mask", "dsstft"), ("sst",),
+        ("dssst",), ("stft", "sst", "dssst"), GRID_KINDS], ids=",".join)
+    def test_full_squeeze_only_for_a_kept_squeeze(self, kinds, monkeypatch):
+        # Each block squeezes every column once per kept sst or dssst grid,
+        # and not at all for the other grids: the band then takes only the
+        # cells that can land in it.
+        calls = []
+        squeeze_rows = tfr._squeeze_rows
+
+        def spy(src, omega, *args):
+            calls.append(omega.shape[0])
+            return squeeze_rows(src, omega, *args)
+
+        monkeypatch.setattr(tfr, "_squeeze_rows", spy)
+        sig = walk_signal()
+        kernel(sig, small_config(1), kinds=kinds)
+        squeezes = sum(kind in kinds for kind in ("sst", "dssst"))
+        sizes = [rows.stop - rows.start for rows in tfr._frame_blocks(len(sig))]
+        assert sorted(calls) == sorted(sizes * squeezes)
 
     def test_block_with_no_cell_in_range_is_zero(self):
         # A middle block's frames see only zeros, so none of its cells is
@@ -1038,10 +1068,13 @@ class TestKernelMemory:
         assert peaks[60] - peaks[30] < band_bytes[60] - band_bytes[30] + 2**21
 
     def test_memory_beyond_the_outputs_with_dssst_kept(self):
-        # Hop 10 on a 37.7 s bout, as a multi-bout run exporting dssst: the
-        # full-width routine allocates each block's stage arrays, and two
-        # blocks' squeezes peak at ~4.4 MB beyond the outputs (~7.0 MB with
-        # V, the cepstrum and V'/V's own array held).
+        # Hop 10 on a 37.7 s bout, as a multi-bout run exporting dssst: each
+        # worker squeezes every column in its workspace, the rule in the
+        # kept dssst rows, the targets and index pairs over |V| and V', and
+        # two workers peak at ~4.2 MB beyond the outputs (~4.4 MB while a
+        # second routine allocated each block's stage arrays, ~7.0 MB with
+        # V, the cepstrum and V'/V's own array held; 5.2-7.5 MB with
+        # dedicated buffers for the spectrum, the mask or the squeeze).
         cfg = PipelineConfig(hop=10).validate()
         sig = walk_signal(n=3770, fs=100.0)
         M = cfg.fft_half(cfg.window_half(sig.fs))
