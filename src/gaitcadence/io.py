@@ -407,13 +407,24 @@ def export_tfr(tfr: TFRGrid, path, fmt: str = "csv"):
 def read_tfr_f64le(path) -> tuple[np.ndarray, dict]:
     """``(matrix, meta)`` of an ``export_tfr(..., fmt='f64le')`` file.
 
-    A data block that is not exactly ``n_frames x n_bins`` float64 values
-    raises ``DataFormatError`` naming the file and both byte counts.
+    A first line that is not a JSON object with nonnegative integer
+    ``n_frames`` and ``n_bins``, or a data block that is not exactly
+    ``n_frames x n_bins`` float64 values, raises ``DataFormatError`` naming
+    the file (and both byte counts for the data block).
     """
     path = Path(path)
     with path.open("rb") as fh:
-        meta = json.loads(fh.readline().decode("ascii"))
-        shape = (meta["n_frames"], meta["n_bins"])
+        try:
+            meta = json.loads(fh.readline().decode("ascii"))
+            shape = (meta["n_frames"], meta["n_bins"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataFormatError(
+                f"{path}: no f64le header with n_frames and n_bins "
+                f"({type(exc).__name__}: {exc})") from None
+        if not all(type(n) is int and n >= 0 for n in shape):
+            raise DataFormatError(
+                f"{path}: n_frames and n_bins must be nonnegative integers, "
+                f"got {shape[0]!r} and {shape[1]!r}")
         expected = 8 * shape[0] * shape[1]
         found = os.fstat(fh.fileno()).st_size - fh.tell()
         if found != expected:

@@ -21,7 +21,9 @@ that can reach the search band (``_candidate_bounds``), unless a kept sst
 or dssst grid needs every column squeezed. The full-grid stages (``stft``,
 ``stct``, ``istct``, ``deshape``, ``reassignment_operator``,
 ``synchrosqueeze``) apply the kernel's own row helpers to a whole grid; the
-independent references are ``scipy.fft`` and the direct-sum STFT oracle.
+independent references are ``scipy.fft`` and the tests' oracle, which
+rebuilds every grid of the chain from its definition with direct sums and
+loops.
 """
 
 from __future__ import annotations

@@ -38,19 +38,6 @@ def as_record(result, baseline=1.5):
                           z=np.zeros(n), fs=result.signal.fs)
 
 
-def stft_direct_sum(x, taper, K, M):
-    """Direct summation of the STFT definition at hop 1 (independent oracle).
-
-    Row ``n`` sums samples ``n - K .. n + K`` of ``x`` (zero-extended past
-    the ends) times ``taper`` against ``exp(-i pi j m / M)`` for bin ``m``.
-    """
-    padded = np.concatenate([np.zeros(K), x, np.zeros(K)])
-    segs = np.lib.stride_tricks.sliding_window_view(padded, 2 * K + 1)
-    kernel = np.exp(-1j * np.pi
-                    * np.outer(np.arange(2 * K + 1), np.arange(M + 1)) / M)
-    return (segs * taper) @ kernel
-
-
 def log_scores(mag):
     """Per-cell log score with the same floor/normalization as the
     extractor."""

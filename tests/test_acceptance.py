@@ -21,8 +21,8 @@ from gaitcadence.signal import (Signal, gaussian_window, median_detrend,
 from gaitcadence.synth import ConstantProfile
 from gaitcadence.tfr import dsst, stft
 
-from conftest import (as_record, enumerated_best, make_walk, path_objective,
-                      stft_direct_sum)
+from conftest import as_record, enumerated_best, make_walk, path_objective
+from oracle import stft_direct_sum
 
 
 def report(name, ok, detail):

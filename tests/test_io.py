@@ -389,6 +389,20 @@ class TestExportTfr:
         assert "expected 160 bytes" in str(info.value)
         assert f"found {160 - tail}" in str(info.value)
 
+    @pytest.mark.parametrize("case", ["pgm", "csv", "no n_bins", "negative"])
+    def test_malformed_f64le_header_names_file(self, tmp_path, case):
+        p = tmp_path / "grid.f64le"
+        headers = {"no n_bins": {"n_frames": 4},
+                   "negative": {"n_frames": -2, "n_bins": -1}}
+        if case in headers:
+            header = json.dumps(headers[case]).encode("ascii")
+            p.write_bytes(header + b"\n" + bytes(16))
+        else:
+            export_tfr(self.make_grid(np.ones((4, 5))), p, case)
+        with pytest.raises(DataFormatError, match="n_frames") as info:
+            read_tfr_f64le(p)
+        assert str(p) in str(info.value)
+
 
 @contextlib.contextmanager
 def chunk_rows(values, rows):
