@@ -17,13 +17,10 @@ from .config import SETTINGS, load_config
 from .errors import CadenceError, ConfigError, DataFormatError, ParameterError
 from .io import (export_tfr, load_trace_csv, write_bland_altman_csv,
                  write_labels_csv, write_triaxial_csv, TFR_FORMATS)
-from .pipeline import (_bout_signal, _recording_magnitude, _sample_range,
-                       analyze_signal, analysis_grid, load_recording,
-                       run_pipeline)
+from .pipeline import (analyze_signal, analysis_grid, load_recording,
+                       range_signal, run_pipeline)
 from .signal import TriaxialRecord, VALID_LOCATIONS
 from .tfr import GRID_KINDS, KIND_DSSST
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -251,12 +248,7 @@ def tfr_cmd(input_csv, kind, fmt, out, start, end, config_path, band, **kw):
     clipped to it with a warning.
     """
     cfg = _build_config(config_path, band, **kw)
-    rec = load_recording(cfg, input_csv)
-    lo, hi, note = _sample_range(len(rec), rec.fs, start, end)
-    if note:
-        logger.warning("%s", note)
-    sig = _bout_signal(_recording_magnitude(rec), lo, hi, rec.fs, lo / rec.fs)
-    del rec  # the analysis reads only the slice's signal
+    sig = range_signal(load_recording(cfg, input_csv), start, end)
     analysis = analyze_signal(sig, cfg, collect=(kind,))
     export_tfr(analysis_grid(analysis, kind), out, fmt)
     click.echo(f"wrote {out} ({analysis.n_frames} frames x "

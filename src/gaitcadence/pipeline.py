@@ -1,9 +1,10 @@
 """End-to-end orchestration: preprocessing, dsSST, ridge, exports.
 
 ``run_pipeline`` and the ``tfr`` command load a recording through
-``load_recording``. They and ``analyze_bout`` turn a time range into a
-bout's signal one way: ``_sample_range`` finds its samples, and
-``_bout_signal`` checks, detrends and rectifies their vector magnitude.
+``load_recording``. A time range becomes a bout's signal one way:
+``_sample_range`` finds its samples, and ``_bout_signal`` checks, detrends
+and rectifies their vector magnitude. ``range_signal`` does both for
+``analyze_bout`` and the ``tfr`` command, from that range's samples only.
 Each bout is analyzed on its own slice of samples, so one bout's data can
 never influence another bout's outputs. The transform chain itself is
 ``tfr.dsst``, which returns only what the run reads: the squeezed
@@ -15,11 +16,11 @@ computes the whole recording's magnitude once, notes its infinite samples,
 and lets the three axes go before the first bout. Each exported
 grid kind gets one ``(n_max, M + 1)`` buffer, ``n_max`` the largest frame
 count of any bout, and each bout's kernel fills its first rows in place.
-The run also owns each bout's ``band_mag``: nothing reads it after the
-ridge, so the ridge scores it in place and a bout holds one band-sized
-array, not two. Library callers own theirs: ``analyze_signal``,
-``analyze_bout`` and ``extract_bout_ridge`` as called by default return
-fresh grids and leave ``band_mag`` as ``analyze_signal`` made it.
+Nothing reads a bout's ``band_mag`` after its ridge, so the ridge of every
+bout, in ``run_pipeline`` as in ``analyze_bout``, scores it in place and
+a bout holds one band-sized array, not two. ``analyze_signal`` returns the
+band and fresh grids, and ``extract_bout_ridge`` leaves the band as it is
+unless given ``out``.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ logger = logging.getLogger(__name__)
 class BoutAnalysis:
     """Analysis result for one signal slice."""
 
-    band_mag: np.ndarray  # |SW| restricted to the search band, frames x bins
+    band_mag: np.ndarray | None  # |SW| in the search band, frames x bins
     band_bins: tuple[int, int]
     fft_half: int
     hop: int
@@ -216,17 +217,27 @@ def _bout_signal(magnitude, lo: int, hi: int, fs: float, t0: float) -> Signal:
     return rectify(median_detrend(Signal(mag[lo:hi], fs, t0)))
 
 
-def _analyze_slice(sig: Signal, cfg: PipelineConfig, collect,
-                   consume_band=False, out=None):
-    """Analysis, ridge and trace of one preprocessed slice. With
-    ``consume_band`` the ridge scores ``band_mag`` in place and the returned
-    analysis has ``band_mag = None``; ``out`` goes to ``analyze_signal``."""
+def range_signal(rec: TriaxialRecord, start_s=None, end_s=None) -> Signal:
+    """The bout signal of ``rec`` from ``start_s`` to ``end_s`` seconds
+    (``None``: its start or end), as the run builds it. A range that runs
+    past the recording is clipped to it with a logged warning; the errors
+    are ``_sample_range``'s and ``_bout_signal``'s."""
+    lo, hi, note = _sample_range(len(rec), rec.fs, start_s, end_s)
+    if note:
+        logger.warning("%s", note)
+    part = TriaxialRecord(rec.x[lo:hi], rec.y[lo:hi], rec.z[lo:hi], rec.fs)
+    return _bout_signal(_recording_magnitude(part), 0, hi - lo, rec.fs,
+                        lo / rec.fs)
+
+
+def _analyze_slice(sig: Signal, cfg: PipelineConfig, collect, out=None):
+    """Analysis, ridge and trace of one preprocessed slice. The ridge scores
+    ``band_mag`` in place, so the returned analysis has ``band_mag = None``;
+    ``out`` goes to ``analyze_signal``."""
     analysis = analyze_signal(sig, cfg, collect=collect, out=out)
-    ridge = extract_bout_ridge(
-        analysis, cfg.ridge_lambda,
-        out=analysis.band_mag if consume_band else None)
-    if consume_band:
-        analysis.band_mag = None
+    ridge = extract_bout_ridge(analysis, cfg.ridge_lambda,
+                               out=analysis.band_mag)
+    analysis.band_mag = None
     trace = cadence_from_ridge(ridge, fs=analysis.fs, fft_half=analysis.fft_half,
                                hop=analysis.hop, t0=analysis.t0)
     return analysis, ridge, trace
@@ -234,17 +245,15 @@ def _analyze_slice(sig: Signal, cfg: PipelineConfig, collect,
 
 def analyze_bout(rec: TriaxialRecord, bout: BoutInterval, cfg: PipelineConfig,
                  collect=()):
-    """Preprocess and analyze one bout's slice of ``rec``.
+    """Analyze one bout's ``range_signal`` of ``rec``, as the run does.
 
-    Returns ``(analysis, ridge, trace)``; a degenerate ridge is flagged on
-    the curve rather than raised, so the caller decides how to report it.
-    Only the slice's vector magnitude is computed.
+    Returns ``(analysis, ridge, trace)``; the ridge scores the band in place,
+    so ``analysis.band_mag`` is ``None`` (``analyze_signal`` keeps it). A
+    degenerate ridge is flagged on the curve rather than raised, so the
+    caller decides how to report it.
     """
-    lo, hi, _ = _sample_range(len(rec), rec.fs, bout.start_s, bout.end_s)
-    part = TriaxialRecord(rec.x[lo:hi], rec.y[lo:hi], rec.z[lo:hi], rec.fs)
-    sig = _bout_signal(_recording_magnitude(part), 0, hi - lo, rec.fs,
-                       lo / rec.fs)
-    return _analyze_slice(sig, cfg, collect)
+    return _analyze_slice(range_signal(rec, bout.start_s, bout.end_s), cfg,
+                          collect)
 
 
 def run_pipeline(cfg: PipelineConfig, input_csv, labels_csv, outdir,
@@ -302,7 +311,6 @@ def run_pipeline(cfg: PipelineConfig, input_csv, labels_csv, outdir,
             n = _n_frames(hi - lo, cfg.hop)
             analysis, ridge, trace = _analyze_slice(
                 _bout_signal(magnitude, lo, hi, fs, t0), cfg, export_kinds,
-                consume_band=True,
                 out={kind: buf[:n] for kind, buf in buffers.items()})
             if ridge.degenerate:
                 raise DataFormatError(

@@ -470,16 +470,15 @@ def _pair_rows(v: np.ndarray, vd: np.ndarray, gamma: float, upsilon: float,
     kept grid (``grids``: kind -> rows) from its STFT pair, the first rows
     of ``ws.v`` and ``ws.vd``.
 
-    Once ``V'/V`` is taken, ``V'``'s buffer holds the even extension of
-    ``|V|^gamma``, ``V``'s its spectrum unless ``V`` is read later, and
-    ``|V|``'s the cepstrum. A full squeeze's rule goes into the kept dssst,
-    else sst, rows, and its targets and index pairs into ``|V|``'s and
-    ``V'``'s buffers once the mask is taken.
+    ``|V|`` goes into the kept stft rows and the cepstrum into the kept stct
+    rows; a stage that is not kept goes into ``ws.vmag``. Once ``V'/V`` is
+    taken, ``V'``'s buffer holds the even extension of ``|V|^gamma`` and
+    ``V``'s its spectrum unless ``V`` is read later. A full squeeze's rule
+    goes into the kept dssst, else sst, rows, and its targets and index
+    pairs into ``ws.vmag`` and ``V'``'s buffer once the mask is taken.
     """
     n, width = v.shape
-    vmag = np.abs(v, out=ws.vmag[:n])
-    if KIND_STFT in grids:
-        grids[KIND_STFT][:] = vmag
+    vmag = np.abs(v, out=grids.get(KIND_STFT, ws.vmag[:n]))
     rule = grids.get(KIND_DSSST, grids.get(KIND_SST))
     if KIND_DSSST not in grids:
         cells, weights, flat = _band_cells(v, vd, vmag, upsilon, band, scale,
@@ -487,11 +486,9 @@ def _pair_rows(v: np.ndarray, vd: np.ndarray, gamma: float, upsilon: float,
     if rule is not None:
         _omega_rows(v, vd, vmag, upsilon, scale, out=rule)
     deshaped = KIND_DSSTFT in grids or KIND_DSSST in grids
-    ceps = _stct_rows(vmag, gamma, out=vmag,
+    ceps = _stct_rows(vmag, gamma, out=grids.get(KIND_STCT, ws.vmag[:n]),
                       extended=_scratch(ws.vd, np.float64, n, 2 * width - 2),
                       spectrum=None if deshaped or rule is not None else v)
-    if KIND_STCT in grids:
-        grids[KIND_STCT][:] = ceps
     if KIND_DSSST not in grids:
         weights *= _istct_cells(ceps, table, cells)
     if deshaped or KIND_ISTCT in grids:

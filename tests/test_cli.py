@@ -422,7 +422,7 @@ class TestTfrCommand:
         # The recording is sampled at 50 Hz: Nyquist is 25 Hz.
         _, csv_path, _, _ = synth_files
         calls = []
-        monkeypatch.setattr("gaitcadence.cli._bout_signal",
+        monkeypatch.setattr("gaitcadence.cli.range_signal",
                             lambda *a, **k: calls.append(a))
         out = tmp_path / "x.csv"
         code = main(["tfr", str(csv_path), "-o", str(out),

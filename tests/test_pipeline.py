@@ -1,11 +1,18 @@
 """End-to-end pipeline behavior on small, fast fixtures."""
 
+import hashlib
 import json
+import logging
 import re
+import tempfile
+import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaitcadence.analysis import BoutInterval
 from gaitcadence.cli import main
@@ -17,10 +24,11 @@ from gaitcadence.io import (export_tfr, load_labels_csv, load_trace_csv,
                             write_summary_csv, write_trace_csv,
                             write_triaxial_csv)
 from gaitcadence.pipeline import (_sample_range, analysis_grid, analyze_bout,
-                                  analyze_signal, run_pipeline)
-from gaitcadence.ridge import CadenceTrace
-from gaitcadence.signal import (Signal, TriaxialRecord, median_detrend,
-                                rectify, vector_magnitude)
+                                  analyze_signal, extract_bout_ridge,
+                                  run_pipeline)
+from gaitcadence.ridge import CadenceTrace, cadence_from_ridge
+from gaitcadence.signal import Signal, TriaxialRecord, vector_magnitude
+from gaitcadence.tfr import GRID_KINDS
 from gaitcadence.synth import ConstantProfile
 
 from conftest import as_record, make_walk
@@ -81,19 +89,31 @@ class TestAnalyzeBout:
         assert analysis.grids["stft"].shape == (analysis.n_frames, n_bins)
         assert np.all(analysis.grids["dssst"] >= 0.0)
 
-    def test_band_mag_left_as_analyze_signal_made_it(self):
-        # The run's ridge scores band_mag in place; a library caller's
-        # analysis must still hold the magnitudes.
+    def test_clipped_bout_warns_as_tfr_does(self, caplog):
+        # The recording is 28 s long: 2-40 s is clipped to 2-28 s.
         _, res = make_walk(duration_s=28.0, bout=(2.0, 26.0), fs=50.0, seed=5)
-        rec = as_record(res)
-        cfg = fast_config(hop=5)
-        bout = BoutInterval(2.0, 26.0, 1)
-        analysis, ridge, _ = analyze_bout(rec, bout, cfg)
-        mag = vector_magnitude(rec).samples[100:1300]  # 2-26 s at 50 Hz
-        direct = analyze_signal(
-            rectify(median_detrend(Signal(mag, rec.fs, 2.0))), cfg)
+        with caplog.at_level(logging.WARNING):
+            _, ridge, _ = analyze_bout(as_record(res), BoutInterval(2.0, 40.0, 1),
+                                       fast_config(hop=5))
         assert not ridge.degenerate
-        assert analysis.band_mag.tobytes() == direct.band_mag.tobytes()
+        assert [r.getMessage() for r in caplog.records] == [
+            "[2.0, 40.0] runs past the 28 s recording; clipped to it"]
+
+    def test_peak_memory_holds_one_band(self, const_walk):
+        # A 60 s hop-1 bout at the default configuration: the ridge scores
+        # the 8.6 MB band in place, beside the kernel's two ~1.5 MB
+        # workspaces, so the call peaks near 12.2 MB; a copy of the band
+        # for the ridge brings it to ~18 MB.
+        rec = as_record(const_walk[1])
+        tracemalloc.start()
+        try:
+            analysis, _, trace = analyze_bout(rec, BoutInterval(2.0, 62.0, 1),
+                                              PipelineConfig().validate())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 6000 and analysis.band_mag is None
+        assert peak < 14e6
 
     @pytest.mark.parametrize("x, error, message", [
         (1.5e160, DataFormatError, "sample 900: the vector magnitude of the "
@@ -108,6 +128,28 @@ class TestAnalyzeBout:
         rec.x[1000] = x
         with pytest.raises(error, match=f"^{message}$"):
             analyze_bout(rec, BoutInterval(2.0, 26.0, 1), fast_config(hop=5))
+
+    @settings(derandomize=True, deadline=None, max_examples=15)
+    @given(t0=st.floats(-1e6, 1e6), hop=st.integers(1, 4),
+           kinds=st.sets(st.sampled_from(GRID_KINDS), max_size=2))
+    def test_t0_moves_only_the_trace_times(self, t0, hop, kinds):
+        rng = np.random.default_rng(3)
+        t = np.arange(480) / 20.0
+        x = np.abs(np.cos(2 * np.pi * t) + 0.3 * rng.normal(size=t.size))
+        cfg = fast_config(hop=hop)
+        runs = []
+        for start in (0.0, t0):
+            analysis = analyze_signal(Signal(x, 20.0, start), cfg, collect=kinds)
+            ridge = extract_bout_ridge(analysis, cfg.ridge_lambda)
+            runs.append((analysis, cadence_from_ridge(
+                ridge, fs=analysis.fs, fft_half=analysis.fft_half,
+                hop=analysis.hop, t0=analysis.t0)))
+        (a0, trace0), (a1, trace1) = runs
+        assert a1.band_mag.tobytes() == a0.band_mag.tobytes()
+        assert {k: g.tobytes() for k, g in a1.grids.items()} == {
+            k: g.tobytes() for k, g in a0.grids.items()}
+        assert trace1.times.tobytes() == (t0 + trace0.times).tobytes()
+        assert trace1.cadence_hz.tobytes() == trace0.cadence_hz.tobytes()
 
     def test_zero_hop_rejected_without_validation(self):
         _, res = make_walk(duration_s=28.0, bout=(2.0, 26.0), fs=50.0, seed=5)
@@ -442,6 +484,28 @@ def three_bouts(tmp_path_factory):
     return csv_path, labels
 
 
+def run_outputs(csv_path, labels, outdir):
+    """The sha256 of every output of a hop-10 run exporting stft, and
+    ``report.json`` without its elapsed times."""
+    run_pipeline(fast_config(hop=10), csv_path, labels, outdir,
+                 export_kinds=("stft",), export_format="f64le")
+    report = json.loads((outdir / "report.json").read_text())
+    del report["elapsed_s"]
+    for bout in report["bouts"]:
+        del bout["elapsed_s"]
+    report["outputs"] = [Path(p).name for p in report["outputs"]]
+    return report, {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in outdir.iterdir() if p.name != "report.json"}
+
+
+@pytest.fixture(scope="module")
+def three_bouts_run(three_bouts, tmp_path_factory):
+    """``three_bouts`` with its outputs, labels in time order."""
+    csv_path, labels = three_bouts
+    return csv_path, labels, run_outputs(
+        csv_path, labels, tmp_path_factory.mktemp("three_bouts_run"))
+
+
 def with_sample(csv_path, tmp_path, row, x):
     """A copy of the recording whose ``row``-th sample has x axis ``x``."""
     lines = csv_path.read_text().splitlines()
@@ -454,10 +518,15 @@ def with_sample(csv_path, tmp_path, row, x):
 
 
 class TestRunBuffers:
-    @pytest.mark.parametrize("fmt", ["pgm", "f64le"])
+    @pytest.mark.parametrize("fmt, end", [
+        pytest.param("pgm", 56, id="pgm"), pytest.param("f64le", 56, id="f64le"),
+        pytest.param("f64le", 70, id="f64le-clipped")])
     def test_outputs_equal_fresh_per_bout_analyses(self, three_bouts, tmp_path,
-                                                   fmt):
-        csv_path, labels = three_bouts
+                                                   fmt, end):
+        # With end 70, bout 3 runs past the 60 s recording and is clipped.
+        csv_path, _ = three_bouts
+        labels = tmp_path / "labels.csv"
+        labels.write_text(f"start_s,end_s,label\n2,14,1\n15,40,2\n41,{end},3\n")
         cfg = fast_config(hop=5)
         kinds = ("stft", "sst", "dssst")
         report = run_pipeline(cfg, csv_path, labels, tmp_path / "run",
@@ -490,6 +559,18 @@ class TestRunBuffers:
         for name in names:
             assert ((tmp_path / "run" / name).read_bytes()
                     == (want / name).read_bytes()), name
+
+    @settings(derandomize=True, deadline=None, max_examples=6)
+    @given(order=st.permutations(range(3)))
+    def test_label_row_order_changes_no_output_byte(self, three_bouts_run,
+                                                    order):
+        csv_path, labels, want = three_bouts_run
+        rows = labels.read_text().splitlines()
+        with tempfile.TemporaryDirectory() as tmp:
+            shuffled = Path(tmp) / "labels.csv"
+            shuffled.write_text("\n".join([rows[0]] + [rows[1 + i]
+                                                       for i in order]) + "\n")
+            assert run_outputs(csv_path, shuffled, Path(tmp) / "out") == want
 
     def test_overflow_fails_only_its_bout(self, three_bouts, tmp_path):
         # Row 1000 is sample 250 of bout 2, which starts at row 750.
