@@ -283,8 +283,9 @@ def deshape(v: TFRGrid, u: TFRGrid) -> TFRGrid:
 
 
 def _omega_scale(fft_half: int, window_half: int) -> float:
-    """Bins per unit of ``Im(V'/V)``: ``2M / (2 pi (2K + 1))``."""
-    return 2.0 * fft_half / (2.0 * np.pi * (2 * window_half + 1))
+    """Bins per unit of ``Im(V'/V)``: ``2M / (2 pi 2K)``, because
+    ``gaussian_window`` spaces its samples ``1/(2K)`` apart."""
+    return 2.0 * fft_half / (2.0 * np.pi * (2 * window_half))
 
 
 def _omega_rows(v_rows: np.ndarray, vd_rows: np.ndarray, vmag: np.ndarray,
@@ -309,7 +310,7 @@ def reassignment_operator(v: TFRGrid, vd: TFRGrid, upsilon: float,
 
     Where ``|V| > upsilon`` the cell holds the local instantaneous-frequency
     estimate in zero-based bin units: the cell's own bin index plus the
-    phase-derived correction ``-Im(V'/V)`` scaled by ``2M / (2 pi (2K+1))``.
+    phase-derived correction ``-Im(V'/V)`` scaled by ``2M / (2 pi 2K)``.
     Cells at or below the threshold hold ``-inf`` and carry no energy.
     """
     if v.values.shape != vd.values.shape:

@@ -12,10 +12,9 @@ Stage by stage, on ``M + 1`` bins:
 - the mask at bin ``m``: the cepstral row read at ``m / (2M)`` by linear
   interpolation over the nodes ``1/j`` (node ``1/j`` carries column ``j``),
   and zero below ``1/M``;
-- the rule: ``m - Im(V'/V) * 2M / (2 pi (2K + 1))`` where ``|V| > upsilon``,
-  else ``-inf``. The scale is the one ``tfr._omega_scale``'s docstring
-  states; ``gaussian_window`` spaces its samples ``1/(2K)`` apart, which
-  makes it ``2M / (2 pi 2K)`` (``TestReassignment`` pins the gap);
+- the rule: ``m - Im(V'/V) * 2M / (2 pi 2K)`` where ``|V| > upsilon``, else
+  ``-inf``. ``gaussian_window`` spaces its samples ``1/(2K)`` apart, so
+  ``V'`` is ``2K`` times the STFT with the window's derivative per sample;
 - the squeeze: each cell, in row-major order, added to bin ``rint(rule)``
   of its frame when that bin lies in ``[0, M]``.
 """
@@ -59,8 +58,8 @@ def mask(ceps):
 
 
 def omega_scale(M, K):
-    """Bins per unit of ``Im(V'/V)``: ``2M / (2 pi (2K + 1))``."""
-    return 2.0 * M / (2.0 * np.pi * (2 * K + 1))
+    """Bins per unit of ``Im(V'/V)``: ``2M / (2 pi 2K)``."""
+    return 2.0 * M / (2.0 * np.pi * (2 * K))
 
 
 def rule(v, vd, K, upsilon):

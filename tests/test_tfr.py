@@ -331,12 +331,10 @@ class TestReassignment:
         mid = om.values[250:350, b]
         assert np.all(np.abs(mid - b) < 0.5)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "gaussian_window spaces its samples 1/(2K) apart, so the rule's "
-        "scale is 2M / (2 pi 2K); _omega_scale divides by 2K + 1"))
     def test_tone_off_its_bin_is_reassigned_to_it(self):
-        # sigma 0.08 makes the window's truncation negligible. Each cell m
-        # is off by (m - b) / (2K + 1) today: -0.080 to +0.066 bins.
+        # sigma 0.08 makes the window's truncation negligible. A scale of
+        # 2M / (2 pi (2K + 1)) puts each cell m off by (m - b) / (2K + 1):
+        # -0.080 to +0.066 bins.
         K, M, b = 20, 64, 30.3
         s = make_tone(b * 5.0 / M, fs=10.0, n=120, phase=0.0)
         w = gaussian_window(K, 0.08)
