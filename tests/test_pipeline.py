@@ -28,8 +28,8 @@ from gaitcadence.pipeline import (_sample_range, analysis_grid, analyze_bout,
                                   run_pipeline)
 from gaitcadence.ridge import CadenceTrace, cadence_from_ridge
 from gaitcadence.signal import Signal, TriaxialRecord, vector_magnitude
-from gaitcadence.tfr import GRID_KINDS
 from gaitcadence.synth import ConstantProfile
+from gaitcadence.tfr import GRID_KINDS
 
 from conftest import as_record, make_walk
 
